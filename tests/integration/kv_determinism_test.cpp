@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "exp/kv_scenario.hpp"
 
@@ -28,6 +29,40 @@ KvParams tiny_kv(int shards) {
   return p;
 }
 
+// Golden digests. Each one carries an FNV-1a hash of the merged stats
+// JSON, so a match pins that artifact byte for byte across commits, not
+// just across shard counts within one build. A refactor must leave them
+// unchanged; a change to modeled output re-records them with a stated
+// reason.
+constexpr const char* kTinyKvRpcDigest =
+    "kv-v1 pairs=4 keys=1024 ops=512 value=1024 depth=4 mode=rpc"
+    " store_shards=2 seed=42 fseed=0 complete=1 audit_viol=0 gets=1835"
+    " puts=213 remote=128 failed=0 retries=0 stale=0 served=2048"
+    " doorbells=4081/4096 polls=4073/4096 events=58810 windows=849"
+    " cross=256 t=[6268821,6268129,6267944,6266437]"
+    " mops=[0.548716839,0.548972178,0.549233647,0.550122972]"
+    " get_ns=[7423,8191,9215] put_ns=[7423,8191,8907]"
+    " stats_fnv=14517833092078859544";
+constexpr const char* kTinyKvReadDigest =
+    "kv-v1 pairs=4 keys=1024 ops=512 value=1024 depth=4 mode=read"
+    " store_shards=2 seed=42 fseed=0 complete=1 audit_viol=0 gets=1835"
+    " puts=213 remote=128 failed=0 retries=0 stale=0 served=326"
+    " doorbells=652/652 polls=651/652 events=40461 windows=829"
+    " cross=256 t=[7864188,7842705,7850031,7866761]"
+    " mops=[0.407550834,0.406537956,0.407159648,0.407380591]"
+    " get_ns=[10751,10751,10751] put_ns=[7167,8703,8709]"
+    " stats_fnv=16179756820889858341";
+constexpr const char* kTinyKvChaosDigest =
+    "kv-v1 pairs=4 keys=1024 ops=512 value=1024 depth=4 mode=rpc"
+    " store_shards=2 seed=42 fseed=20260809 complete=1 audit_viol=0"
+    " gets=1835 puts=213 remote=128 failed=0 retries=200 stale=190"
+    " served=2238 doorbells=4399/4486 polls=4124/4476 events=62317"
+    " windows=2514 cross=636"
+    " t=[1785668182,1937238347,1937326464,1932304076]"
+    " mops=[0.0201833054,0.00335916661,0.539988124,0.00608208573]"
+    " get_ns=[7423,18431,150994943] put_ns=[7423,8191,24523364]"
+    " stats_fnv=17985252980266434332";
+
 TEST(KvDeterminismTest, DigestInvariantAcrossShardCounts) {
   const auto seq = run_kv(tiny_kv(1));   // one shard: plain sequential DES
   const auto par = run_kv(tiny_kv(4));   // four shards: conservative PDES
@@ -38,6 +73,20 @@ TEST(KvDeterminismTest, DigestInvariantAcrossShardCounts) {
   EXPECT_EQ(seq.digest, par.digest);
   EXPECT_EQ(seq.stats_json, par.stats_json);
   EXPECT_FALSE(seq.stats_json.empty());
+  EXPECT_EQ(seq.digest, kTinyKvRpcDigest);
+  EXPECT_EQ(par.digest, kTinyKvRpcDigest);
+}
+
+TEST(KvDeterminismTest, ReadModeAndChaosDigestsArePinned) {
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    auto read = tiny_kv(shards);
+    read.get_via_read = true;
+    EXPECT_EQ(run_kv(read).digest, kTinyKvReadDigest);
+    auto chaos = tiny_kv(shards);
+    chaos.fault_seed = 20260809;
+    EXPECT_EQ(run_kv(chaos).digest, kTinyKvChaosDigest);
+  }
 }
 
 TEST(KvDeterminismTest, SameSeedReproducesByteIdentically) {

@@ -32,6 +32,26 @@ exp::FleetParams tiny_fleet(int pairs, int shards) {
   return p;
 }
 
+// Golden digests. Each one carries FNV-1a hashes of the merged stats and
+// trace JSON, so a match pins those artifacts byte for byte across
+// commits, not just across worker counts within one build. A refactor
+// must leave them unchanged; a change to modeled output re-records them
+// with a stated reason.
+constexpr const char* kTinyFleetDigest =
+    "fleet-v1 pairs=8 bytes=8388608 seed=0 complete=1 integrity=1"
+    " audit_viol=0 ring=64 events=3840 windows=38 cross=64"
+    " t=[502187343,502187343,502187343,502187343,502187343,502187343,5021"
+    "87343,502187343]"
+    " gbps=[29.4171071,29.4171071,29.4171071,29.4171071,29.4171071,29.417"
+    "1071,29.4171071,29.4171071]"
+    " stats_fnv=11041547782526230730 trace_fnv=6071922414182672750";
+constexpr const char* kTinyFleetChaosDigest =
+    "fleet-v1 pairs=4 bytes=33554432 seed=20260809 complete=1"
+    " integrity=1 audit_viol=0 ring=32 events=4584 windows=366 cross=32"
+    " t=[2256226967,2281068313,2432627113,2173214803]"
+    " gbps=[34.1969674,30.8761214,34.1969674,27.5338749]"
+    " stats_fnv=9974140575125026399 trace_fnv=9111714202280270616";
+
 TEST(ParallelDeterminismTest, WorkerCountIsInvisibleInEveryArtifact) {
   std::vector<exp::FleetResult> runs;
   for (const int shards : {1, 2, 4, 8})
@@ -52,6 +72,8 @@ TEST(ParallelDeterminismTest, WorkerCountIsInvisibleInEveryArtifact) {
   EXPECT_TRUE(runs[0].audit_ok);
   EXPECT_EQ(runs[0].ring_completed, 8u * 8u);
   EXPECT_GT(runs[0].cross_posts, 0u);
+  EXPECT_EQ(runs[0].digest, kTinyFleetDigest);  // shards 1
+  EXPECT_EQ(runs[2].digest, kTinyFleetDigest);  // shards 4
 }
 
 TEST(ParallelDeterminismTest, ChaosScheduleSurvivesWorkerCountChanges) {
@@ -69,6 +91,8 @@ TEST(ParallelDeterminismTest, ChaosScheduleSurvivesWorkerCountChanges) {
   EXPECT_EQ(runs[0].stats_json, runs[1].stats_json);
   EXPECT_EQ(runs[0].trace_json, runs[1].trace_json);
   EXPECT_TRUE(runs[0].integrity_ok);
+  EXPECT_EQ(runs[0].digest, kTinyFleetChaosDigest);
+  EXPECT_EQ(runs[1].digest, kTinyFleetChaosDigest);
 }
 
 TEST(ParallelDeterminismTest, RepeatedRunsAreBitIdentical) {
