@@ -1,104 +1,67 @@
-// Fleet scenario implementation. Three phases:
-//
-//   1. Single-threaded setup: per-pair topology + sessions, then the
-//      cross-shard ring links and connection establishment, run in exact
-//      global event order (establishment coroutines hop between shards).
-//   2. The parallel run: transfers plus ring flows under
-//      sim::Cluster::run(), whose executed schedule is worker-count
-//      independent.
-//   3. Deterministic merge: QP ledgers folded in rank order, per-shard
-//      auditors finalized, stats/trace shards merged, and a one-line
-//      digest of every output (minus wall-clock) for golden tests.
+// Fleet scenario implementation on exp::ClusterHarness, which owns the
+// shards, phases, merge and teardown (see cluster_harness.hpp). This file
+// adds one RFTP session per pair and the ring of background RDMA Writes.
 #include "exp/fleet.hpp"
 
-#include <chrono>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
-#include "check/audit.hpp"
-#include "exp/runner.hpp"
-#include "fault/injector.hpp"
-#include "model/host_profile.hpp"
+#include "exp/cluster_harness.hpp"
 #include "net/link.hpp"
 #include "numa/host.hpp"
 #include "numa/process.hpp"
 #include "rdma/cm.hpp"
 #include "rftp/rftp.hpp"
-#include "sim/cluster.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::exp {
 
 namespace {
 
-/// Requester-side state for one cross-shard background flow: this pair's
-/// sender host writes into the next pair's receiver host over a two-engine
-/// link, so the cluster's outbox/merge path carries real RDMA traffic.
-struct RingState {
-  rdma::ConnectedPair* cp = nullptr;
-  numa::Thread* post_th = nullptr;
-  numa::Thread* reap_th = nullptr;
-  mem::Buffer local{};
-  mem::Buffer remote{};  // storage in the next pair's receiver process
-  std::unique_ptr<sim::Semaphore> window;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t completed = 0;
-  bool established = false;
-};
-
-/// Everything one fleet pair owns. One engine shard per pair; member order
-/// is destruction-safe (session tears down before links/devices/hosts,
-/// which tear down before the engine).
-struct PairRig {
-  std::unique_ptr<sim::Engine> eng;
-  std::unique_ptr<stats::Registry> stats;
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<check::Auditor> audit;
-  std::unique_ptr<numa::Host> a, b;
-  std::unique_ptr<rdma::Device> da, db;
-  std::unique_ptr<net::Link> link;  // intra-pair, single-engine
-  std::unique_ptr<numa::Process> pa, pb;
-  std::unique_ptr<net::Link> ring_link;  // to the next pair (cross-shard)
-  std::unique_ptr<rdma::ConnectedPair> ring_cp;
+/// One fleet pair: its RFTP transfer, plus the requester side of the
+/// cross-shard background flow (this pair's sender host writes into the
+/// next pair's receiver host over the harness's ring connection).
+struct PairRig : ClusterShard {
   std::unique_ptr<rftp::RftpSession> sess;
   std::unique_ptr<rftp::MemorySource> src;
   std::unique_ptr<rftp::MemorySink> sink;
-  std::unique_ptr<fault::FaultInjector> inj;
-  RingState ring;
   rftp::TransferResult res{};
   bool done = false;
+
+  numa::Thread* post_th = nullptr;
+  numa::Thread* reap_th = nullptr;
+  mem::Buffer ring_local{};
+  mem::Buffer ring_remote{};  // storage in the next pair's receiver process
+  std::unique_ptr<sim::Semaphore> window;
+  std::uint64_t ring_completed = 0;
+  bool ring_established = false;
 };
 
 sim::Task<> fleet_establish(PairRig* rig, numa::Thread* tb) {
-  co_await rig->ring_cp->establish(*rig->ring.post_th, *tb);
-  rig->ring.established = true;
+  co_await rig->ring_cp->establish(*rig->post_th, *tb);
+  rig->ring_established = true;
 }
 
-sim::Task<> fleet_ring_poster(RingState* st) {
-  for (std::uint64_t i = 0; i < st->messages; ++i) {
-    co_await st->window->acquire();
+sim::Task<> fleet_ring_poster(PairRig* rig, const FleetParams* p) {
+  for (std::uint64_t i = 0; i < p->ring_messages; ++i) {
+    co_await rig->window->acquire();
     rdma::SendWr wr;
     wr.wr_id = i;
     wr.op = rdma::Opcode::kWrite;
-    wr.local = &st->local;
-    wr.remote = rdma::RemoteKey{&st->remote};
-    wr.bytes = st->bytes;
-    co_await st->cp->a().post_send(*st->post_th, wr);
+    wr.local = &rig->ring_local;
+    wr.remote = rdma::RemoteKey{&rig->ring_remote};
+    wr.bytes = p->ring_msg_bytes;
+    co_await rig->ring_cp->a().post_send(*rig->post_th, wr);
   }
 }
 
-sim::Task<> fleet_ring_reaper(RingState* st) {
-  for (std::uint64_t i = 0; i < st->messages; ++i) {
-    auto wc = co_await st->cp->a().send_cq().wait(*st->reap_th);
+sim::Task<> fleet_ring_reaper(PairRig* rig, const FleetParams* p) {
+  for (std::uint64_t i = 0; i < p->ring_messages; ++i) {
+    auto wc = co_await rig->ring_cp->a().send_cq().wait(*rig->reap_th);
     if (!wc.success)
       throw std::runtime_error("fleet: ring write completion failed");
-    ++st->completed;
-    st->window->release();
+    ++rig->ring_completed;
+    rig->window->release();
   }
 }
 
@@ -107,226 +70,97 @@ sim::Task<> fleet_transfer(PairRig* rig, std::uint64_t bytes) {
   rig->done = true;
 }
 
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 FleetResult run_fleet(const FleetParams& p) {
-  if (p.pairs < 1) throw std::invalid_argument("fleet: pairs must be >= 1");
-  if (p.shards < 1 || p.shards > p.pairs)
-    throw std::invalid_argument("fleet: shards must be in [1, pairs]");
-
-  const int P = p.pairs;
-  sim::Cluster cluster(p.shards);
-  std::vector<std::unique_ptr<PairRig>> rigs;
-  rigs.reserve(static_cast<std::size_t>(P));
+  ClusterHarness h({.scenario = "fleet", .pairs = p.pairs, .shards = p.shards,
+                    .audit = p.audit, .stats = p.stats, .trace = p.trace,
+                    .tag = "p", .host_a = "-a", .host_b = "-b",
+                    .proc_a = "-send", .proc_b = "-recv", .link = "-lan",
+                    .ring = "ring", .make_link = net::make_roce_lan,
+                    .make_ring_link = net::make_roce_lan},
+                   [] { return std::make_unique<PairRig>(); });
+  const int P = h.pairs();
+  auto rig = [&h](int i) -> PairRig& { return h.shard<PairRig>(i); };
 
   for (int i = 0; i < P; ++i) {
-    auto rig = std::make_unique<PairRig>();
-    rig->eng = std::make_unique<sim::Engine>();
-    cluster.add(*rig->eng);
-    sim::Engine& eng = *rig->eng;
-    if (p.stats) {
-      rig->stats = std::make_unique<stats::Registry>(eng);
-      rig->stats->install();
-    }
-    if (p.trace) {
-      rig->tracer = std::make_unique<trace::Tracer>(eng);
-      rig->tracer->install();
-    }
-    if (p.audit) rig->audit = std::make_unique<check::Auditor>(eng);
-
-    const std::string tag = "p" + std::to_string(i);
-    rig->a = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-a"));
-    rig->b = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-b"));
-    rig->da =
-        std::make_unique<rdma::Device>(*rig->a, rig->a->profile().nics[0]);
-    rig->db =
-        std::make_unique<rdma::Device>(*rig->b, rig->b->profile().nics[0]);
-    rig->link = net::make_roce_lan(eng, tag + "-lan");
-    rig->link->bind_endpoints(rig->a.get(), rig->b.get());
-    rig->pa = std::make_unique<numa::Process>(
-        *rig->a, tag + "-send", numa::NumaBinding::bound(rig->da->node()));
-    rig->pb = std::make_unique<numa::Process>(
-        *rig->b, tag + "-recv", numa::NumaBinding::bound(rig->db->node()));
-
+    PairRig& r = rig(i);
     rftp::RftpConfig cfg;
     cfg.block_bytes = p.block_bytes;
     cfg.streams = p.streams;
     cfg.credits_per_stream = p.credits;
     cfg.checkpoint_blocks = p.checkpoint_blocks;
     cfg.fast_forward = p.fast_forward;  // inert under a Cluster (see hpp)
-    rig->sess = std::make_unique<rftp::RftpSession>(
-        rftp::EndpointConfig{rig->pa.get(), {rig->da.get()}},
-        rftp::EndpointConfig{rig->pb.get(), {rig->db.get()}},
-        std::vector<net::Link*>{rig->link.get()}, cfg);
-    rig->src = std::make_unique<rftp::MemorySource>(p.bytes_per_pair,
-                                                    numa::Placement::on(0));
-    rig->sink = std::make_unique<rftp::MemorySink>();
+    r.sess = std::make_unique<rftp::RftpSession>(
+        rftp::EndpointConfig{r.pa.get(), {r.da.get()}},
+        rftp::EndpointConfig{r.pb.get(), {r.db.get()}},
+        std::vector<net::Link*>{r.link.get()}, cfg);
+    r.src = std::make_unique<rftp::MemorySource>(p.bytes_per_pair,
+                                                 numa::Placement::on(0));
+    r.sink = std::make_unique<rftp::MemorySink>();
 
-    if (p.fault_seed != 0) {
-      // Chaos stays shard-local: each pair draws its own plan against its
-      // intra-pair link and session, so fault timing never depends on the
-      // worker count.
-      fault::FaultPlan::RandomParams rp;
-      rp.links = 1;
-      rp.qps = p.streams;
-      rp.hosts = 2;
-      rp.crashes = 1;
-      auto plan = fault::FaultPlan::random(
-          p.fault_seed + 1000003ull * static_cast<std::uint64_t>(i), rp);
-      rig->inj = std::make_unique<fault::FaultInjector>(eng, std::move(plan));
-      rig->inj->attach(*rig->link);
-      auto* sess = rig->sess.get();
-      const int streams = p.streams;
-      rig->inj->set_qp_kill_handler(
-          [sess, streams](int qp) { sess->kill_stream(qp % streams); });
-      rig->inj->set_crash_handler([sess](int host, sim::SimDuration down) {
-        sess->crash_host(host, down);
-      });
-      rig->inj->arm();
-    }
-    rigs.push_back(std::move(rig));
+    fault::FaultPlan::RandomParams rp;
+    rp.links = 1;
+    rp.qps = p.streams;
+    rp.hosts = 2;
+    rp.crashes = 1;
+    const int streams = p.streams;
+    h.arm_chaos(
+        i, p.fault_seed, rp,
+        [&r, streams](int qp) { r.sess->kill_stream(qp % streams); },
+        [&r](int host, sim::SimDuration d) { r.sess->crash_host(host, d); });
   }
 
-  // Cross-shard ring: pair i's sender host writes into pair (i+1)%P's
-  // receiver host. Needs at least two pairs to form a seam.
+  // The ring needs at least two pairs to form a seam.
   const bool ring_on = P > 1 && p.ring_messages > 0;
   if (ring_on) {
-    for (int i = 0; i < P; ++i) {
-      PairRig& rig = *rigs[static_cast<std::size_t>(i)];
-      PairRig& next = *rigs[static_cast<std::size_t>((i + 1) % P)];
-      rig.ring_link = net::make_roce_lan(*rig.eng, *next.eng,
-                                         "ring" + std::to_string(i));
-      rig.ring_link->bind_endpoints(rig.a.get(), next.b.get());
-      rig.ring_cp = std::make_unique<rdma::ConnectedPair>(*rig.da, *next.db,
-                                                          *rig.ring_link);
-      rig.ring.cp = rig.ring_cp.get();
-      rig.ring.post_th = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring.reap_th = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring.local.placement =
-          rig.pa->alloc(p.ring_msg_bytes, rig.da->node());
-      rig.ring.remote.placement =
+    h.wire_ring([&](int i, int n) {
+      PairRig& r = rig(i);
+      PairRig& next = rig(n);
+      r.post_th = &r.pa->spawn_thread(r.da->node());
+      r.reap_th = &r.pa->spawn_thread(r.da->node());
+      r.ring_local.placement = r.pa->alloc(p.ring_msg_bytes, r.da->node());
+      r.ring_remote.placement =
           next.pb->alloc(p.ring_msg_bytes, next.db->node());
-      rig.ring.local.registered = rig.ring.remote.registered = true;
-      rig.ring.window = std::make_unique<sim::Semaphore>(*rig.eng, 4);
-      rig.ring.messages = p.ring_messages;
-      rig.ring.bytes = p.ring_msg_bytes;
-    }
-    // Phase 1: connection establishment hops between shards with blocking
-    // handshakes, so run it in exact global sequential order.
+      r.ring_local.registered = r.ring_remote.registered = true;
+      r.window = std::make_unique<sim::Semaphore>(r.eng, 4);
+    });
     for (int i = 0; i < P; ++i) {
-      PairRig& rig = *rigs[static_cast<std::size_t>(i)];
-      PairRig& next = *rigs[static_cast<std::size_t>((i + 1) % P)];
+      PairRig& next = rig((i + 1) % P);
       numa::Thread& tb = next.pb->spawn_thread(next.db->node());
-      sim::co_spawn(fleet_establish(&rig, &tb));
+      sim::co_spawn(fleet_establish(&rig(i), &tb));
     }
-    cluster.run_sequential();
-    for (const auto& rig : rigs)
-      if (!rig->ring.established)
-        throw std::runtime_error("fleet: ring establish did not complete");
+    h.run_sequential([&](int i) { return rig(i).ring_established; });
   }
 
-  // Phase 2: the parallel run. Spawn order is pair order (deterministic).
-  for (auto& rigp : rigs) {
-    PairRig& rig = *rigp;
-    sim::co_spawn(fleet_transfer(&rig, p.bytes_per_pair));
-    if (ring_on) {
-      sim::co_spawn(fleet_ring_poster(&rig.ring));
-      sim::co_spawn(fleet_ring_reaper(&rig.ring));
-    }
-  }
-
-  const std::uint64_t events0 = cluster.events_processed();
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
-  FleetResult out;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out.sim_events = cluster.events_processed() - events0;
-  out.windows = cluster.windows();
-  out.cross_posts = cluster.cross_posts();
-
-  // Each ring flow's bytes ledger is split across two shards; fold the
-  // ledgers (rank order) before finalizing each shard's auditor.
-  if (p.audit) {
-    std::vector<check::Auditor*> audits;
-    for (const auto& rig : rigs) audits.push_back(rig->audit.get());
-    check::Auditor::merge_qp_ledgers(audits);
-    for (const auto& rig : rigs) {
-      rig->audit->finalize();
-      out.audit_ok = out.audit_ok && rig->audit->ok();
-      out.audit_violations += rig->audit->violations().size();
-    }
-  }
-
-  for (const auto& rigp : rigs) {
-    const PairRig& rig = *rigp;
-    out.complete = out.complete && rig.done && rig.res.complete;
-    out.integrity_ok = out.integrity_ok && rig.res.integrity_ok;
-    out.pair_gbps.push_back(rig.res.goodput_gbps);
-    out.aggregate_gbps += rig.res.goodput_gbps;
-    out.ring_completed += rig.ring.completed;
-  }
-
-  if (p.stats) {
-    std::vector<const stats::Registry*> regs;
-    for (const auto& rig : rigs) regs.push_back(rig->stats.get());
-    std::ostringstream os;
-    stats::Registry::write_merged_json(os, regs);
-    out.stats_json = os.str();
-  }
-  if (p.trace) {
-    std::vector<const trace::Tracer*> trs;
-    for (const auto& rig : rigs) trs.push_back(rig->tracer.get());
-    std::ostringstream os;
-    trace::write_merged_chrome_trace(os, trs);
-    out.trace_json = os.str();
-  }
-
-  // Deterministic fingerprint: every output except wall_seconds, printed
-  // with exact integer / %.9g formatting.
-  std::ostringstream dg;
-  dg << "fleet-v1 pairs=" << P << " bytes=" << p.bytes_per_pair
-     << " seed=" << p.fault_seed << " complete=" << out.complete
-     << " integrity=" << out.integrity_ok
-     << " audit_viol=" << out.audit_violations
-     << " ring=" << out.ring_completed << " events=" << out.sim_events
-     << " windows=" << out.windows << " cross=" << out.cross_posts << " t=[";
-  for (int i = 0; i < P; ++i)
-    dg << (i ? "," : "") << rigs[static_cast<std::size_t>(i)]->eng->now();
-  dg << "] gbps=[";
+  // The parallel run. Spawn order is pair order (deterministic).
   for (int i = 0; i < P; ++i) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.9g",
-                  out.pair_gbps[static_cast<std::size_t>(i)]);
-    dg << (i ? "," : "") << buf;
+    PairRig& r = rig(i);
+    sim::co_spawn(fleet_transfer(&r, p.bytes_per_pair));
+    if (ring_on) {
+      sim::co_spawn(fleet_ring_poster(&r, &p));
+      sim::co_spawn(fleet_ring_reaper(&r, &p));
+    }
   }
-  dg << "]";
-  if (p.stats) dg << " stats_fnv=" << fnv1a(out.stats_json);
-  if (p.trace) dg << " trace_fnv=" << fnv1a(out.trace_json);
-  out.digest = dg.str();
+  FleetResult out;
+  h.run(out);
 
-  // Ordered ring teardown: rig i's cross-engine ring_link holds a Resource
-  // registered on rig (i+1)%P's engine, so the wraparound pair would
-  // deregister from a destroyed engine if the rigs vector tore down
-  // front-to-back. Drop connections then links across ALL rigs while every
-  // engine is still alive; runs after the digest, so output is unaffected.
-  for (auto& rig : rigs) {
-    rig->ring.cp = nullptr;
-    rig->ring_cp.reset();
-    rig->ring_link.reset();
+  for (int i = 0; i < P; ++i) {
+    const PairRig& r = rig(i);
+    out.complete = out.complete && r.done && r.res.complete;
+    out.integrity_ok = out.integrity_ok && r.res.integrity_ok;
+    out.pair_gbps.push_back(r.res.goodput_gbps);
+    out.aggregate_gbps += r.res.goodput_gbps;
+    out.ring_completed += r.ring_completed;
   }
+
+  std::ostringstream head;
+  head << "fleet-v1 pairs=" << P << " bytes=" << p.bytes_per_pair
+       << " seed=" << p.fault_seed << " complete=" << out.complete
+       << " integrity=" << out.integrity_ok
+       << " audit_viol=" << out.audit_violations
+       << " ring=" << out.ring_completed;
+  out.digest = h.digest(head.str(), out, "gbps", out.pair_gbps);
   return out;
 }
 

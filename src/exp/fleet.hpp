@@ -10,8 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "exp/cluster_harness.hpp"
 
 namespace e2e::exp {
 
@@ -26,33 +27,23 @@ struct FleetParams {
   std::uint64_t ring_messages = 32;  // cross-shard writes per pair
   std::uint64_t ring_msg_bytes = 1ull << 20;
   std::uint64_t fault_seed = 0;  // != 0: seeded per-pair chaos plans
-  // Accepted for CLI symmetry but inert: sharded engines run under a
-  // Cluster, and RftpSession only constructs the fast-forward detector on
-  // a single-engine run (skip_time on a shard would break the conservative
-  // lookahead protocol).
+  // Inert: sharded engines run under a Cluster, and RftpSession only
+  // constructs the fast-forward detector on a single-engine run (skip_time
+  // on a shard would break the conservative lookahead protocol). The CLI
+  // rejects `fleet --fast-forward 1` rather than ignore it.
   bool fast_forward = false;
   bool audit = true;             // per-shard auditors + merged QP ledgers
   bool stats = false;            // capture merged stats JSON in the result
   bool trace = false;            // capture merged Chrome trace JSON
 };
 
-struct FleetResult {
+/// Shared fields (complete, audit, events, windows, wall time, stats and
+/// trace JSON, digest) come from ClusterResult.
+struct FleetResult : ClusterResult {
   double aggregate_gbps = 0.0;  // sum over pairs
   std::vector<double> pair_gbps;
-  bool complete = true;
   bool integrity_ok = true;
-  bool audit_ok = true;
-  std::size_t audit_violations = 0;
   std::uint64_t ring_completed = 0;  // cross-shard writes acknowledged
-  std::uint64_t sim_events = 0;      // parallel-phase events, all shards
-  std::uint64_t windows = 0;         // conservative lookahead windows
-  std::uint64_t cross_posts = 0;     // messages through the shard merge
-  double wall_seconds = 0.0;         // parallel phase only
-  std::string stats_json;  // merged e2e-stats-cluster-v1 (params.stats)
-  std::string trace_json;  // merged Chrome trace (params.trace)
-  /// One-line fingerprint of every deterministic output above (plus FNV
-  /// hashes of the JSON dumps); bit-identical across shard counts.
-  std::string digest;
 };
 
 /// Throws std::invalid_argument unless 1 <= shards <= pairs.

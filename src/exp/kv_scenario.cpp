@@ -1,50 +1,31 @@
-// KV scenario implementation. Same three-phase shape as fleet.cpp:
-//
-//   1. Single-threaded setup, then registration + connection establishment
-//      (including the cross-shard ring rpc connections) in exact global
-//      sequential order.
-//   2. The parallel closed-loop workload under sim::Cluster::run().
-//   3. Deterministic merge: QP ledgers folded in rank order, latency
-//      histograms folded across pairs, and a one-line digest of every
-//      output (minus wall-clock) for golden tests.
+// KV scenario implementation on exp::ClusterHarness, which owns the
+// shards, phases, merge and teardown (see cluster_harness.hpp). This file
+// adds the per-pair rpc plane and KvStore, the one-sided READ plane, the
+// cross-shard ring rpc connections and the closed-loop workload.
 #include "exp/kv_scenario.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "apps/kv.hpp"
-#include "check/audit.hpp"
-#include "fault/injector.hpp"
-#include "model/host_profile.hpp"
+#include "exp/cluster_harness.hpp"
 #include "net/link.hpp"
 #include "numa/host.hpp"
 #include "numa/process.hpp"
 #include "rdma/cm.hpp"
 #include "rpc/rpc.hpp"
-#include "sim/cluster.hpp"
 #include "stats/histogram.hpp"
-#include "stats/registry.hpp"
 
 namespace e2e::exp {
 
 namespace {
 
-/// Everything one kv pair owns. Member order is destruction-safe: rpc
-/// endpoints (whose channels live on the engine) tear down before the
-/// connections, which tear down before devices/hosts, before the engine.
-struct KvRig {
-  std::unique_ptr<sim::Engine> eng;
-  std::unique_ptr<stats::Registry> stats;
-  std::unique_ptr<check::Auditor> audit;
-  std::unique_ptr<numa::Host> a, b;  // a = client, b = server
-  std::unique_ptr<rdma::Device> da, db;
-  std::unique_ptr<net::Link> link;  // intra-pair rack link
-  std::unique_ptr<numa::Process> pa, pb;
+/// One kv pair (host a = client, host b = server). Member order is
+/// destruction-safe: rpc endpoints (whose channels live on the engine)
+/// tear down before the connections they ride.
+struct KvRig : ClusterShard {
   std::unique_ptr<rdma::ProtectionDomain> pd_a, pd_b;
 
   numa::Thread* c_post = nullptr;  // client post/reap
@@ -67,11 +48,9 @@ struct KvRig {
   std::vector<numa::Thread*> read_th;
   mem::Buffer read_local{};
 
-  // Cross-shard ring rpc: this rig's client into the next rig's server.
-  // The b-side endpoint (ring_server) is built from the *next* rig's
-  // process/threads/buffer, mirroring fleet's ring ownership.
-  std::unique_ptr<net::Link> ring_link;
-  std::unique_ptr<rdma::ConnectedPair> ring_cp;
+  // Cross-shard ring rpc over the harness's ring_cp: this rig's client
+  // into the next rig's server. The b-side endpoint (ring_server) is built
+  // from the *next* rig's process/threads/buffer and handler.
   numa::Thread* ring_c_post = nullptr;
   numa::Thread* ring_c_reap = nullptr;
   numa::Thread* ring_s_post = nullptr;  // spawned from next->pb
@@ -79,8 +58,6 @@ struct KvRig {
   mem::Buffer ring_client_ring{}, ring_server_ring{};
   std::unique_ptr<rpc::RpcClient> ring_client;
   std::unique_ptr<rpc::RpcServer> ring_server;
-
-  std::unique_ptr<fault::FaultInjector> inj;
 
   // Workload state.
   std::unique_ptr<sim::Rng> rng;
@@ -94,6 +71,12 @@ struct KvRig {
   sim::SimTime last_done = 0;
   bool established = false;
   bool ring_established = false;
+
+  // The ring endpoints ride ring_cp and the next rig's handler.
+  void release_ring() override {
+    ring_client.reset();
+    ring_server.reset();
+  }
 };
 
 sim::Task<> kv_establish(KvRig* rig) {
@@ -133,7 +116,7 @@ sim::Task<bool> kv_read_get(KvRig* rig, std::uint64_t key, int w) {
   numa::Thread& th = *rig->read_th[static_cast<std::size_t>(w)];
   apps::KvStore::Shard& sh = rig->store->shard(rig->store->shard_of(key));
   for (int attempt = 0; attempt < 64; ++attempt) {
-    if (attempt > 0) co_await sim::Delay{*rig->eng, sim::kMillisecond};
+    if (attempt > 0) co_await sim::Delay{rig->eng, sim::kMillisecond};
     rdma::SendWr wr;
     wr.op = rdma::Opcode::kRead;
     wr.wr_id = key;
@@ -152,8 +135,8 @@ sim::Task<bool> kv_read_get(KvRig* rig, std::uint64_t key, int w) {
   co_return false;
 }
 
-sim::Task<bool> kv_rpc_op(KvRig* rig, rpc::RpcClient* cl, bool put,
-                          std::uint64_t key, std::uint64_t value_bytes,
+sim::Task<bool> kv_rpc_op(rpc::RpcClient* cl, bool put, std::uint64_t key,
+                          std::uint64_t value_bytes,
                           std::uint64_t header_bytes) {
   apps::KvMsg m;
   m.op = put ? apps::KvMsg::Op::kPut : apps::KvMsg::Op::kGet;
@@ -173,16 +156,15 @@ sim::Task<> kv_worker(KvRig* rig, const KvParams* p, int w,
     const bool remote =
         rig->ring_client != nullptr && p->remote_every > 0 &&
         op % static_cast<std::uint64_t>(p->remote_every) == 0;
-    const sim::SimTime t0 = rig->eng->now();
+    const sim::SimTime t0 = rig->eng.now();
     bool ok;
     if (!put && p->get_via_read && !remote) {
       ok = co_await kv_read_get(rig, key, w);
     } else {
       rpc::RpcClient* cl = remote ? rig->ring_client.get() : rig->client.get();
-      ok = co_await kv_rpc_op(rig, cl, put, key, p->value_bytes,
-                              header_bytes);
+      ok = co_await kv_rpc_op(cl, put, key, p->value_bytes, header_bytes);
     }
-    const sim::SimTime now = rig->eng->now();
+    const sim::SimTime now = rig->eng.now();
     (put ? rig->put_lat : rig->get_lat)
         .record(static_cast<std::uint64_t>(now - t0));
     rig->last_done = std::max(rig->last_done, now);
@@ -197,21 +179,9 @@ sim::Task<> kv_worker(KvRig* rig, const KvParams* p, int w,
   --rig->workers_live;
 }
 
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 KvResult run_kv(const KvParams& p) {
-  if (p.pairs < 1) throw std::invalid_argument("kv: pairs must be >= 1");
-  if (p.shards < 1 || p.shards > p.pairs)
-    throw std::invalid_argument("kv: shards must be in [1, pairs]");
   if (p.depth < 1) throw std::invalid_argument("kv: depth must be >= 1");
   if (p.ops_per_pair < 1)
     throw std::invalid_argument("kv: ops must be >= 1");
@@ -228,225 +198,152 @@ KvResult run_kv(const KvParams& p) {
   }();
   const std::uint64_t max_msg = cfg.header_bytes + p.value_bytes;
 
-  const int P = p.pairs;
-  sim::Cluster cluster(p.shards);
-  std::vector<std::unique_ptr<KvRig>> rigs;
-  rigs.reserve(static_cast<std::size_t>(P));
+  ClusterHarness h({.scenario = "kv", .pairs = p.pairs, .shards = p.shards,
+                    .audit = p.audit, .stats = p.stats, .tag = "kv",
+                    .host_a = "-c", .host_b = "-s", .proc_a = "-cli",
+                    .proc_b = "-srv", .link = "-rack", .ring = "kvring",
+                    .make_link = net::make_roce_rack,
+                    .make_ring_link = net::make_roce_rack},
+                   [] { return std::make_unique<KvRig>(); });
+  const int P = h.pairs();
+  auto rig = [&h](int i) -> KvRig& { return h.shard<KvRig>(i); };
 
   for (int i = 0; i < P; ++i) {
-    auto rig = std::make_unique<KvRig>();
-    rig->eng = std::make_unique<sim::Engine>();
-    cluster.add(*rig->eng);
-    sim::Engine& eng = *rig->eng;
-    if (p.stats) {
-      rig->stats = std::make_unique<stats::Registry>(eng);
-      rig->stats->install();
-    }
-    if (p.audit) rig->audit = std::make_unique<check::Auditor>(eng);
+    KvRig& r = rig(i);
+    r.pd_a = std::make_unique<rdma::ProtectionDomain>(*r.a);
+    r.pd_b = std::make_unique<rdma::ProtectionDomain>(*r.b);
 
-    const std::string tag = "kv" + std::to_string(i);
-    rig->a = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-c"));
-    rig->b = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-s"));
-    rig->da =
-        std::make_unique<rdma::Device>(*rig->a, rig->a->profile().nics[0]);
-    rig->db =
-        std::make_unique<rdma::Device>(*rig->b, rig->b->profile().nics[0]);
-    rig->link = net::make_roce_rack(eng, tag + "-rack");
-    rig->link->bind_endpoints(rig->a.get(), rig->b.get());
-    rig->pa = std::make_unique<numa::Process>(
-        *rig->a, tag + "-cli", numa::NumaBinding::bound(rig->da->node()));
-    rig->pb = std::make_unique<numa::Process>(
-        *rig->b, tag + "-srv", numa::NumaBinding::bound(rig->db->node()));
-    rig->pd_a = std::make_unique<rdma::ProtectionDomain>(*rig->a);
-    rig->pd_b = std::make_unique<rdma::ProtectionDomain>(*rig->b);
+    r.c_post = &r.pa->spawn_thread(r.da->node());
+    r.c_reap = &r.pa->spawn_thread(r.da->node());
+    r.s_post = &r.pb->spawn_thread(r.db->node());
+    r.s_reap = &r.pb->spawn_thread(r.db->node());
+    r.c_rec = &r.pa->spawn_thread(r.da->node());
+    r.s_rec = &r.pb->spawn_thread(r.db->node());
 
-    rig->c_post = &rig->pa->spawn_thread(rig->da->node());
-    rig->c_reap = &rig->pa->spawn_thread(rig->da->node());
-    rig->s_post = &rig->pb->spawn_thread(rig->db->node());
-    rig->s_reap = &rig->pb->spawn_thread(rig->db->node());
-    rig->c_rec = &rig->pa->spawn_thread(rig->da->node());
-    rig->s_rec = &rig->pb->spawn_thread(rig->db->node());
+    r.client_ring.bytes = max_msg;
+    r.client_ring.placement = r.pa->alloc(max_msg, r.da->node());
+    r.server_ring.bytes = max_msg;
+    r.server_ring.placement = r.pb->alloc(max_msg, r.db->node());
 
-    rig->client_ring.bytes = max_msg;
-    rig->client_ring.placement = rig->pa->alloc(max_msg, rig->da->node());
-    rig->server_ring.bytes = max_msg;
-    rig->server_ring.placement = rig->pb->alloc(max_msg, rig->db->node());
-
-    rig->store = std::make_unique<apps::KvStore>(*rig->pb, p.keys,
-                                                 p.value_bytes,
-                                                 p.store_shards);
-    rig->handler = std::make_unique<apps::KvHandler>(
-        *rig->store, rig->server_ring, cfg.header_bytes);
-    rig->cp = std::make_unique<rdma::ConnectedPair>(*rig->da, *rig->db,
-                                                    *rig->link);
-    rig->client = std::make_unique<rpc::RpcClient>(
-        rig->cp->a(), *rig->c_post, *rig->c_reap, rig->client_ring, cfg);
-    rig->server = std::make_unique<rpc::RpcServer>(
-        rig->cp->b(), *rig->s_post, *rig->s_reap, rig->server_ring,
-        *rig->handler, cfg);
+    r.store = std::make_unique<apps::KvStore>(*r.pb, p.keys, p.value_bytes,
+                                              p.store_shards);
+    r.handler = std::make_unique<apps::KvHandler>(*r.store, r.server_ring,
+                                                  cfg.header_bytes);
+    r.cp = std::make_unique<rdma::ConnectedPair>(*r.da, *r.db, *r.link);
+    r.client = std::make_unique<rpc::RpcClient>(r.cp->a(), *r.c_post,
+                                                *r.c_reap, r.client_ring, cfg);
+    r.server = std::make_unique<rpc::RpcServer>(
+        r.cp->b(), *r.s_post, *r.s_reap, r.server_ring, *r.handler, cfg);
 
     if (p.get_via_read) {
-      rig->read_local.bytes =
-          std::max<std::uint64_t>(p.value_bytes,
-                                  apps::KvStore::kIndexEntryBytes);
-      rig->read_local.placement =
-          rig->pa->alloc(rig->read_local.bytes, rig->da->node());
+      r.read_local.bytes = std::max<std::uint64_t>(
+          p.value_bytes, apps::KvStore::kIndexEntryBytes);
+      r.read_local.placement =
+          r.pa->alloc(r.read_local.bytes, r.da->node());
       for (int w = 0; w < p.depth; ++w) {
-        rig->read_th.push_back(&rig->pa->spawn_thread(rig->da->node()));
-        rig->read_cps.push_back(std::make_unique<rdma::ConnectedPair>(
-            *rig->da, *rig->db, *rig->link));
+        r.read_th.push_back(&r.pa->spawn_thread(r.da->node()));
+        r.read_cps.push_back(
+            std::make_unique<rdma::ConnectedPair>(*r.da, *r.db, *r.link));
       }
     }
 
-    rig->rng = std::make_unique<sim::Rng>(
+    r.rng = std::make_unique<sim::Rng>(
         p.seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(i + 1));
-    rig->zipf = std::make_unique<apps::Zipf>(p.keys, p.zipf_theta);
+    r.zipf = std::make_unique<apps::Zipf>(p.keys, p.zipf_theta);
 
-    if (p.fault_seed != 0) {
-      // Chaos stays shard-local: each pair draws its own plan against its
-      // intra-pair link and rpc connection. The kill handler drops the rpc
-      // plane into its error epoch; client retry timers carry the calls
-      // across the outage while one recovery coroutine re-establishes.
-      fault::FaultPlan::RandomParams rp;
-      rp.links = 1;
-      rp.qps = 1;
-      rp.qp_kills = 2;
-      auto plan = fault::FaultPlan::random(
-          p.fault_seed + 1000003ull * static_cast<std::uint64_t>(i), rp);
-      rig->inj = std::make_unique<fault::FaultInjector>(eng, std::move(plan));
-      rig->inj->attach(*rig->link);
-      KvRig* r = rig.get();
-      rig->inj->set_qp_kill_handler([r](int) {
-        r->cp->kill();
-        sim::co_spawn(kv_recover(r));
-      });
-      rig->inj->arm();
-    }
-    rigs.push_back(std::move(rig));
+    // The kill handler drops the rpc plane into its error epoch; client
+    // retry timers carry the calls across the outage while one recovery
+    // coroutine re-establishes.
+    fault::FaultPlan::RandomParams rp;
+    rp.links = 1;
+    rp.qps = 1;
+    rp.qp_kills = 2;
+    h.arm_chaos(i, p.fault_seed, rp, [&r](int) {
+      r.cp->kill();
+      sim::co_spawn(kv_recover(&r));
+    });
   }
 
   // Cross-shard rpc ring: pair i's client calls into pair (i+1)%P's
   // server. Needs at least two pairs to form a seam.
   const bool ring_on = P > 1 && p.remote_every > 0;
   if (ring_on) {
-    for (int i = 0; i < P; ++i) {
-      KvRig& rig = *rigs[static_cast<std::size_t>(i)];
-      KvRig& next = *rigs[static_cast<std::size_t>((i + 1) % P)];
-      rig.ring_link = net::make_roce_rack(*rig.eng, *next.eng,
-                                          "kvring" + std::to_string(i));
-      rig.ring_link->bind_endpoints(rig.a.get(), next.b.get());
-      rig.ring_cp = std::make_unique<rdma::ConnectedPair>(*rig.da, *next.db,
-                                                          *rig.ring_link);
-      rig.ring_c_post = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring_c_reap = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring_s_post = &next.pb->spawn_thread(next.db->node());
-      rig.ring_s_reap = &next.pb->spawn_thread(next.db->node());
-      rig.ring_client_ring.bytes = max_msg;
-      rig.ring_client_ring.placement =
-          rig.pa->alloc(max_msg, rig.da->node());
-      rig.ring_server_ring.bytes = max_msg;
-      rig.ring_server_ring.placement =
+    h.wire_ring([&](int i, int n) {
+      KvRig& r = rig(i);
+      KvRig& next = rig(n);
+      r.ring_c_post = &r.pa->spawn_thread(r.da->node());
+      r.ring_c_reap = &r.pa->spawn_thread(r.da->node());
+      r.ring_s_post = &next.pb->spawn_thread(next.db->node());
+      r.ring_s_reap = &next.pb->spawn_thread(next.db->node());
+      r.ring_client_ring.bytes = max_msg;
+      r.ring_client_ring.placement = r.pa->alloc(max_msg, r.da->node());
+      r.ring_server_ring.bytes = max_msg;
+      r.ring_server_ring.placement =
           next.pb->alloc(max_msg, next.db->node());
-      rig.ring_client = std::make_unique<rpc::RpcClient>(
-          rig.ring_cp->a(), *rig.ring_c_post, *rig.ring_c_reap,
-          rig.ring_client_ring, cfg);
-      rig.ring_server = std::make_unique<rpc::RpcServer>(
-          rig.ring_cp->b(), *rig.ring_s_post, *rig.ring_s_reap,
-          rig.ring_server_ring, *next.handler, cfg);
-    }
+      r.ring_client = std::make_unique<rpc::RpcClient>(
+          r.ring_cp->a(), *r.ring_c_post, *r.ring_c_reap, r.ring_client_ring,
+          cfg);
+      r.ring_server = std::make_unique<rpc::RpcServer>(
+          r.ring_cp->b(), *r.ring_s_post, *r.ring_s_reap, r.ring_server_ring,
+          *next.handler, cfg);
+    });
   }
 
-  // Phase 1: registration + establishment, exact global sequential order
-  // (ring handshakes and ring-server ring posts hop between shards).
-  for (int i = 0; i < P; ++i)
-    sim::co_spawn(kv_establish(rigs[static_cast<std::size_t>(i)].get()));
-  if (ring_on) {
+  // Registration + establishment (ring handshakes and ring-server ring
+  // posts hop between shards).
+  for (int i = 0; i < P; ++i) sim::co_spawn(kv_establish(&rig(i)));
+  if (ring_on)
     for (int i = 0; i < P; ++i)
-      sim::co_spawn(kv_ring_establish(
-          rigs[static_cast<std::size_t>(i)].get(),
-          rigs[static_cast<std::size_t>((i + 1) % P)].get()));
-  }
-  cluster.run_sequential();
-  for (const auto& rig : rigs) {
-    if (!rig->established)
-      throw std::runtime_error("kv: establish did not complete");
-    if (ring_on && !rig->ring_established)
-      throw std::runtime_error("kv: ring establish did not complete");
-  }
+      sim::co_spawn(kv_ring_establish(&rig(i), &rig((i + 1) % P)));
+  h.run_sequential([&](int i) {
+    return rig(i).established && (!ring_on || rig(i).ring_established);
+  });
 
-  // Phase 2: the parallel closed loop. Spawn order is pair order.
+  // The parallel closed loop. Spawn order is pair order.
   const std::uint64_t header_bytes = cfg.header_bytes;
-  for (auto& rigp : rigs) {
-    KvRig& rig = *rigp;
-    rig.t_start = rig.eng->now();
-    rig.workers_live = p.depth;
+  for (int i = 0; i < P; ++i) {
+    KvRig& r = rig(i);
+    r.t_start = r.eng.now();
+    r.workers_live = p.depth;
     for (int w = 0; w < p.depth; ++w)
-      sim::co_spawn(kv_worker(&rig, &p, w, header_bytes));
+      sim::co_spawn(kv_worker(&r, &p, w, header_bytes));
   }
-
-  const std::uint64_t events0 = cluster.events_processed();
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
   KvResult out;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out.sim_events = cluster.events_processed() - events0;
-  out.windows = cluster.windows();
-  out.cross_posts = cluster.cross_posts();
-
-  // The ring connections' byte ledgers are split across two shards; fold
-  // them (rank order) before finalizing each shard's auditor.
-  if (p.audit) {
-    std::vector<check::Auditor*> audits;
-    for (const auto& rig : rigs) audits.push_back(rig->audit.get());
-    check::Auditor::merge_qp_ledgers(audits);
-    for (const auto& rig : rigs) {
-      rig->audit->finalize();
-      out.audit_ok = out.audit_ok && rig->audit->ok();
-      out.audit_violations += rig->audit->violations().size();
-    }
-  }
+  h.run(out);
 
   stats::Histogram get_lat, put_lat;
-  for (const auto& rigp : rigs) {
-    const KvRig& rig = *rigp;
-    out.complete = out.complete && rig.workers_live == 0 &&
-                   rig.ops_done == p.ops_per_pair;
-    if (p.fault_seed == 0) out.complete = out.complete && rig.failed == 0;
-    out.ops_done += rig.ops_done;
-    out.gets += rig.gets;
-    out.puts += rig.puts;
-    out.remote_ops += rig.remote_ops;
-    out.failed_ops += rig.failed;
-    out.rpc_retries += rig.client->retries();
-    out.stale_responses += rig.client->stale_responses();
-    out.calls_served += rig.handler->gets() + rig.handler->puts();
-    out.doorbells += rig.client->doorbells() + rig.server->doorbells();
-    out.doorbell_wrs +=
-        rig.client->doorbell_wrs() + rig.server->doorbell_wrs();
-    out.poll_batches +=
-        rig.client->poll_batches() + rig.server->poll_batches();
-    out.poll_cqes += rig.client->poll_cqes() + rig.server->poll_cqes();
-    if (rig.ring_client) {
-      out.rpc_retries += rig.ring_client->retries();
-      out.stale_responses += rig.ring_client->stale_responses();
-      out.doorbells +=
-          rig.ring_client->doorbells() + rig.ring_server->doorbells();
-      out.doorbell_wrs += rig.ring_client->doorbell_wrs() +
-                          rig.ring_server->doorbell_wrs();
-      out.poll_batches += rig.ring_client->poll_batches() +
-                          rig.ring_server->poll_batches();
-      out.poll_cqes +=
-          rig.ring_client->poll_cqes() + rig.ring_server->poll_cqes();
+  for (int i = 0; i < P; ++i) {
+    const KvRig& r = rig(i);
+    out.complete = out.complete && r.workers_live == 0 &&
+                   r.ops_done == p.ops_per_pair;
+    if (p.fault_seed == 0) out.complete = out.complete && r.failed == 0;
+    out.ops_done += r.ops_done;
+    out.gets += r.gets;
+    out.puts += r.puts;
+    out.remote_ops += r.remote_ops;
+    out.failed_ops += r.failed;
+    out.rpc_retries += r.client->retries();
+    out.stale_responses += r.client->stale_responses();
+    out.calls_served += r.handler->gets() + r.handler->puts();
+    out.doorbells += r.client->doorbells() + r.server->doorbells();
+    out.doorbell_wrs += r.client->doorbell_wrs() + r.server->doorbell_wrs();
+    out.poll_batches += r.client->poll_batches() + r.server->poll_batches();
+    out.poll_cqes += r.client->poll_cqes() + r.server->poll_cqes();
+    if (r.ring_client) {
+      out.rpc_retries += r.ring_client->retries();
+      out.stale_responses += r.ring_client->stale_responses();
+      out.doorbells += r.ring_client->doorbells() + r.ring_server->doorbells();
+      out.doorbell_wrs +=
+          r.ring_client->doorbell_wrs() + r.ring_server->doorbell_wrs();
+      out.poll_batches +=
+          r.ring_client->poll_batches() + r.ring_server->poll_batches();
+      out.poll_cqes += r.ring_client->poll_cqes() + r.ring_server->poll_cqes();
     }
-    get_lat.merge(rig.get_lat);
-    put_lat.merge(rig.put_lat);
-    const sim::SimTime span = rig.last_done - rig.t_start;
+    get_lat.merge(r.get_lat);
+    put_lat.merge(r.put_lat);
+    const sim::SimTime span = r.last_done - r.t_start;
     const double mops =
-        span > 0 ? static_cast<double>(rig.ops_done) * 1e3 /
+        span > 0 ? static_cast<double>(r.ops_done) * 1e3 /
                        static_cast<double>(span)
                  : 0.0;
     out.pair_mops.push_back(mops);
@@ -463,60 +360,24 @@ KvResult run_kv(const KvParams& p) {
     out.put_p999_ns = put_lat.p999();
   }
 
-  if (p.stats) {
-    std::vector<const stats::Registry*> regs;
-    for (const auto& rig : rigs) regs.push_back(rig->stats.get());
-    std::ostringstream os;
-    stats::Registry::write_merged_json(os, regs);
-    out.stats_json = os.str();
-  }
 
-  // Deterministic fingerprint: every output except wall_seconds.
-  std::ostringstream dg;
-  char buf[48];
-  dg << "kv-v1 pairs=" << P << " keys=" << p.keys
-     << " ops=" << p.ops_per_pair << " value=" << p.value_bytes
-     << " depth=" << p.depth << " mode=" << (p.get_via_read ? "read" : "rpc")
-     << " store_shards=" << p.store_shards << " seed=" << p.seed
-     << " fseed=" << p.fault_seed << " complete=" << out.complete
-     << " audit_viol=" << out.audit_violations << " gets=" << out.gets
-     << " puts=" << out.puts << " remote=" << out.remote_ops
-     << " failed=" << out.failed_ops << " retries=" << out.rpc_retries
-     << " stale=" << out.stale_responses << " served=" << out.calls_served
-     << " doorbells=" << out.doorbells << "/" << out.doorbell_wrs
-     << " polls=" << out.poll_batches << "/" << out.poll_cqes
-     << " events=" << out.sim_events << " windows=" << out.windows
-     << " cross=" << out.cross_posts << " t=[";
-  for (int i = 0; i < P; ++i)
-    dg << (i ? "," : "") << rigs[static_cast<std::size_t>(i)]->eng->now();
-  dg << "] mops=[";
-  for (int i = 0; i < P; ++i) {
-    std::snprintf(buf, sizeof buf, "%.9g",
-                  out.pair_mops[static_cast<std::size_t>(i)]);
-    dg << (i ? "," : "") << buf;
-  }
-  dg << "] get_ns=[" << out.get_p50_ns << "," << out.get_p99_ns << ","
-     << out.get_p999_ns << "] put_ns=[" << out.put_p50_ns << ","
-     << out.put_p99_ns << "," << out.put_p999_ns << "]";
-  if (p.stats) dg << " stats_fnv=" << fnv1a(out.stats_json);
-  out.digest = dg.str();
-
-  // Ordered ring teardown. A cross-engine Link owns one Resource per
-  // direction, each registered on its source engine — so rig i's ring_link
-  // holds a Resource registered on rig (i+1)%P's engine, and the last
-  // rig's partner is rig 0. Letting the rigs vector destruct front-to-back
-  // would have that Resource deregister from an already-destroyed engine.
-  // Tear the ring down across ALL rigs (endpoints, then connection, then
-  // link) while every engine is still alive; this runs after the digest,
-  // so no observable output depends on it.
-  for (auto& rigp : rigs) {
-    rigp->ring_client.reset();
-    rigp->ring_server.reset();
-  }
-  for (auto& rigp : rigs) {
-    rigp->ring_cp.reset();
-    rigp->ring_link.reset();
-  }
+  std::ostringstream head, tail;
+  head << "kv-v1 pairs=" << P << " keys=" << p.keys
+       << " ops=" << p.ops_per_pair << " value=" << p.value_bytes
+       << " depth=" << p.depth
+       << " mode=" << (p.get_via_read ? "read" : "rpc")
+       << " store_shards=" << p.store_shards << " seed=" << p.seed
+       << " fseed=" << p.fault_seed << " complete=" << out.complete
+       << " audit_viol=" << out.audit_violations << " gets=" << out.gets
+       << " puts=" << out.puts << " remote=" << out.remote_ops
+       << " failed=" << out.failed_ops << " retries=" << out.rpc_retries
+       << " stale=" << out.stale_responses << " served=" << out.calls_served
+       << " doorbells=" << out.doorbells << "/" << out.doorbell_wrs
+       << " polls=" << out.poll_batches << "/" << out.poll_cqes;
+  tail << " get_ns=[" << out.get_p50_ns << "," << out.get_p99_ns << ","
+       << out.get_p999_ns << "] put_ns=[" << out.put_p50_ns << ","
+       << out.put_p99_ns << "," << out.put_p999_ns << "]";
+  out.digest = h.digest(head.str(), out, "mops", out.pair_mops, tail.str());
   return out;
 }
 

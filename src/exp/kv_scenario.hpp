@@ -13,8 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "exp/cluster_harness.hpp"
 
 namespace e2e::exp {
 
@@ -40,10 +41,10 @@ struct KvParams {
   bool stats = false;
 };
 
-struct KvResult {
-  bool complete = true;  // every op finished (and succeeded, fault-free)
-  bool audit_ok = true;
-  std::size_t audit_violations = 0;
+/// Shared fields (events, windows, wall time, audit, stats JSON, digest)
+/// come from ClusterResult; `complete` means every op finished (and
+/// succeeded, fault-free). kv takes no trace, so trace_json stays empty.
+struct KvResult : ClusterResult {
   std::uint64_t ops_done = 0;
   std::uint64_t gets = 0;
   std::uint64_t puts = 0;
@@ -56,19 +57,11 @@ struct KvResult {
   std::uint64_t doorbell_wrs = 0;
   std::uint64_t poll_batches = 0;
   std::uint64_t poll_cqes = 0;
-  std::uint64_t sim_events = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t cross_posts = 0;
-  double wall_seconds = 0.0;  // parallel phase only
   double aggregate_mops = 0.0;
   std::vector<double> pair_mops;
   // Merged op-latency percentiles (ns), GETs and PUTs separately.
   std::uint64_t get_p50_ns = 0, get_p99_ns = 0, get_p999_ns = 0;
   std::uint64_t put_p50_ns = 0, put_p99_ns = 0, put_p999_ns = 0;
-  std::string stats_json;  // merged registry dump (params.stats)
-  /// One-line fingerprint of every deterministic output above;
-  /// bit-identical across shard counts.
-  std::string digest;
 };
 
 /// Throws std::invalid_argument on out-of-range params

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace e2e::fault {
 
@@ -29,6 +30,16 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
                                                    std::uint64_t x) noexcept {
   for (int i = 0; i < 8; ++i) {
     h ^= (x >> (8 * i)) & 0xFF;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// FNV-1a over the bytes of `s` (digest hashes of JSON dumps).
+[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
+  std::uint64_t h = kFnvOffset;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
     h *= kFnvPrime;
   }
   return h;

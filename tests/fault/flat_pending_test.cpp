@@ -9,7 +9,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -28,15 +27,6 @@ namespace {
 
 using e2e::test::TinyRig;
 using e2e::test::make_buffer;
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// iSER write workload under a fixed seeded fault plan (loss bursts, a
 /// flap, a spike, a blackhole and one QP kill). Returns the trace hash

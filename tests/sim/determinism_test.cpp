@@ -13,10 +13,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "fault/integrity.hpp"
 #include "iscsi/initiator.hpp"
 #include "iscsi/target.hpp"
 #include "iser/session.hpp"
@@ -28,15 +28,6 @@
 
 namespace e2e {
 namespace {
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 struct TraceRun {
   std::uint64_t hash = 0;
@@ -95,7 +86,7 @@ TraceRun run_iser_scenario() {
   std::ostringstream os;
   tracer.write_chrome_trace(os);
   const std::string s = os.str();
-  return TraceRun{fnv1a(s), rig.eng.events_processed(), s.size()};
+  return TraceRun{fault::fnv1a(s), rig.eng.events_processed(), s.size()};
 }
 
 /// Fixed TCP scenario: flow-controlled lossy connection, so the trace
@@ -139,7 +130,7 @@ TraceRun run_tcp_scenario() {
   std::ostringstream os;
   tracer.write_chrome_trace(os);
   const std::string s = os.str();
-  return TraceRun{fnv1a(s), rig.eng.events_processed(), s.size()};
+  return TraceRun{fault::fnv1a(s), rig.eng.events_processed(), s.size()};
 }
 
 // Golden values recorded against the pre-overhaul event core (binary

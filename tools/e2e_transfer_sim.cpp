@@ -89,8 +89,8 @@ struct Options {
       "  --write          fio writes instead of reads (san)\n"
       "  --duration S     measurement window in simulated seconds (san)\n"
       "  --files N        split the dataset into N files (e2e)\n"
-      "  --trace FILE     write a Chrome/Perfetto trace-event JSON file\n"
-      "  --report FILE    write a flat run report (.csv -> CSV, else JSON)\n"
+      "  --trace FILE     write a Chrome/Perfetto trace JSON file (not kv)\n"
+      "  --report FILE    run report, .csv -> CSV else JSON (not fleet/kv)\n"
       "  --fault-plan S   inject scripted faults, e.g.\n"
       "                   'loss@500ms:n=5;flap@1s:dur=20ms;qpkill@1500ms:qp=0;"
       "crash@1s:host=1,down=50ms'\n"
@@ -126,7 +126,8 @@ struct Options {
       "  --fast-forward 0|1  collapse proven steady-state bulk phases into\n"
       "                   closed-form spans (default 0 = event-exact; final\n"
       "                   metrics are identical either way; rftp transfer\n"
-      "                   scenarios only — inert for san/motivating/fleet)\n",
+      "                   scenarios only, inert for san/motivating;\n"
+      "                   fleet/kv reject 1)\n",
       stderr);
   std::exit(2);
 }
@@ -626,6 +627,41 @@ int run_san(const Options& o) {
   return rc;
 }
 
+/// Shared fleet/kv tail: the parallel-phase line, the digest (the golden
+/// handle, byte-identical for any --shards; tests and perfbench grep it),
+/// the audit line and the --trace/--stats-out files. Exit code 0 needs `ok`.
+int finish_cluster(const Options& o, const exp::ClusterResult& r,
+                   const char* extra_label, std::uint64_t extra, bool ok) {
+  const char* name = o.scenario.c_str();
+  std::printf(
+      "%s: %llu events in %.2f s wall (%.0f ev/s), %llu windows, "
+      "%llu cross-shard posts, %llu %s\n",
+      name, static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
+      r.wall_seconds > 0 ? static_cast<double>(r.sim_events) / r.wall_seconds
+                         : 0.0,
+      static_cast<unsigned long long>(r.windows),
+      static_cast<unsigned long long>(r.cross_posts),
+      static_cast<unsigned long long>(extra), extra_label);
+  std::printf("digest: %s\n", r.digest.c_str());
+  if (!r.audit_ok)
+    std::printf("%s: %llu audit violation(s)\n", name,
+                static_cast<unsigned long long>(r.audit_violations));
+  // Merged cluster dumps are JSON-only (one document per shard).
+  const auto write = [](const std::string& file, const std::string& json) {
+    if (file.empty()) return true;
+    std::ofstream os(file);
+    if (!os) {
+      std::fprintf(stderr, "cannot write %s\n", file.c_str());
+      return false;
+    }
+    os << json;
+    return true;
+  };
+  if (!write(o.trace_file, r.trace_json) || !write(o.stats_out, r.stats_json))
+    return 1;
+  return ok && r.audit_ok ? 0 : 1;
+}
+
 int run_fleet(const Options& o) {
   exp::FleetParams fp;
   fp.pairs = o.pairs;
@@ -636,7 +672,6 @@ int run_fleet(const Options& o) {
   fp.credits = o.credits;
   fp.checkpoint_blocks = o.checkpoint;
   fp.fault_seed = o.fault_seed;
-  fp.fast_forward = o.fast_forward;  // accepted but inert (cluster guard)
   fp.audit = o.audit;
   fp.stats = o.stats;
   fp.trace = !o.trace_file.empty();
@@ -647,39 +682,8 @@ int run_fleet(const Options& o) {
       fp.pairs, static_cast<unsigned long long>(o.gib), fp.shards,
       fp.shards == 1 ? "" : "s",
       r.aggregate_gbps);
-  std::printf(
-      "fleet: %llu events in %.2f s wall (%.0f ev/s), %llu windows, "
-      "%llu cross-shard posts, %llu ring writes\n",
-      static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
-      r.wall_seconds > 0 ? static_cast<double>(r.sim_events) / r.wall_seconds
-                         : 0.0,
-      static_cast<unsigned long long>(r.windows),
-      static_cast<unsigned long long>(r.cross_posts),
-      static_cast<unsigned long long>(r.ring_completed));
-  // The digest is the golden-determinism handle: byte-identical for any
-  // --shards value (tests diff this line across worker counts).
-  std::printf("digest: %s\n", r.digest.c_str());
-  if (!r.audit_ok)
-    std::printf("fleet: %llu audit violation(s)\n",
-                static_cast<unsigned long long>(r.audit_violations));
-  if (!o.trace_file.empty()) {
-    std::ofstream os(o.trace_file);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", o.trace_file.c_str());
-      return 1;
-    }
-    os << r.trace_json;
-  }
-  if (!o.stats_out.empty()) {
-    // Merged cluster dump is JSON-only (one write_json document per shard).
-    std::ofstream os(o.stats_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", o.stats_out.c_str());
-      return 1;
-    }
-    os << r.stats_json;
-  }
-  return r.complete && r.integrity_ok && r.audit_ok ? 0 : 1;
+  return finish_cluster(o, r, "ring writes", r.ring_completed,
+                        r.complete && r.integrity_ok);
 }
 
 int run_kv(const Options& o) {
@@ -719,30 +723,7 @@ int run_kv(const Options& o) {
       static_cast<double>(r.put_p999_ns) / 1e3,
       static_cast<unsigned long long>(r.rpc_retries),
       static_cast<unsigned long long>(r.failed_ops));
-  std::printf(
-      "kv: %llu events in %.2f s wall (%.0f ev/s), %llu windows, "
-      "%llu cross-shard posts, %llu remote ops\n",
-      static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
-      r.wall_seconds > 0 ? static_cast<double>(r.sim_events) / r.wall_seconds
-                         : 0.0,
-      static_cast<unsigned long long>(r.windows),
-      static_cast<unsigned long long>(r.cross_posts),
-      static_cast<unsigned long long>(r.remote_ops));
-  // The digest is the golden-determinism handle: byte-identical for any
-  // --shards value (tests diff this line across worker counts).
-  std::printf("digest: %s\n", r.digest.c_str());
-  if (!r.audit_ok)
-    std::printf("kv: %llu audit violation(s)\n",
-                static_cast<unsigned long long>(r.audit_violations));
-  if (!o.stats_out.empty()) {
-    std::ofstream os(o.stats_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", o.stats_out.c_str());
-      return 1;
-    }
-    os << r.stats_json;
-  }
-  return r.complete && r.audit_ok ? 0 : 1;
+  return finish_cluster(o, r, "remote ops", r.remote_ops, r.complete);
 }
 
 int run_motivating(const Options& o) {
@@ -799,6 +780,20 @@ int main(int argc, char** argv) {
                    "%s uses --fault-seed; a scripted --fault-plan targets "
                    "a single session\n",
                    o.scenario.c_str());
+      usage();
+    }
+    // Flags a multi-host scenario cannot honour fail loudly instead of
+    // exiting 0 with nothing written or changed.
+    const char* unsupported = nullptr;
+    if (!o.report_file.empty())
+      unsupported = "--report";
+    else if (o.fast_forward)
+      unsupported = "--fast-forward 1";
+    else if (o.scenario == "kv" && !o.trace_file.empty())
+      unsupported = "--trace";
+    if (unsupported != nullptr) {
+      std::fprintf(stderr, "%s does not support %s\n", o.scenario.c_str(),
+                   unsupported);
       usage();
     }
     return o.scenario == "kv" ? run_kv(o) : run_fleet(o);
