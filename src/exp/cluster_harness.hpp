@@ -89,9 +89,10 @@ struct ClusterSpec {
   // hosts are tag+i+host_a / host_b, its processes tag+i+proc_a / proc_b,
   // its link tag+i+link, and its ring link ring+i.
   std::string tag, host_a, host_b, proc_a, proc_b, link, ring;
-  std::unique_ptr<net::Link> (*make_link)(sim::Engine&, const std::string&);
-  std::unique_ptr<net::Link> (*make_ring_link)(sim::Engine&, sim::Engine&,
-                                               const std::string&);
+  std::unique_ptr<net::Link> (*make_link)(sim::Engine&,
+                                          const std::string&) = nullptr;
+  std::unique_ptr<net::Link> (*make_ring_link)(
+      sim::Engine&, sim::Engine&, const std::string&) = nullptr;
 };
 
 class ClusterHarness {
