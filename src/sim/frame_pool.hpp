@@ -11,11 +11,16 @@
 // thread_local pools are correct only because sim::Cluster pins shard k to
 // worker k % workers for the whole parallel run — a shard's coroutines
 // always allocate and free on the same worker, so each thread_local pool
-// is effectively a per-shard pool. Two asymmetries are deliberately safe:
-//   * frames allocated on the main thread during the single-threaded setup
-//     phase are freed on the owning shard's worker and simply migrate into
-//     that worker's freelist (blocks are plain operator-new storage with no
-//     thread affinity, and pools are leaky until trim());
+// is effectively a per-shard pool. Worker 0 is the thread that calls
+// Cluster::run(), normally the one that ran the setup phase, so shard 0's
+// setup-phase frames never change threads — nor does any frame at one
+// worker, where run() spawns no thread at all. Two asymmetries are
+// deliberately safe:
+//   * frames allocated on the calling thread during the single-threaded
+//     setup phase for a shard pinned to another worker are freed there and
+//     simply migrate into that worker's freelist (blocks are plain
+//     operator-new storage with no thread affinity, and pools are leaky
+//     until trim());
 //   * a cross-shard read coroutine (sim::Hop) executes on two workers but
 //     its frame is allocated and destroyed on the spawning shard's worker.
 // If shards ever migrate between workers mid-run, these pools must move
