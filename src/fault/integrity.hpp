@@ -10,11 +10,13 @@
 // (rdma::SendWr::content_tag, rftp::DataHeader::checksum) and sinks verify
 // them against the analytically-known expected value.
 //
-// Tag math is on the per-command hot path (a 1 MiB WRITE tags 2048 blocks,
-// at several protocol layers), so the FNV prefixes over domain-separation
-// constants are folded into precomputed seeds — same values, half the
-// rounds — and the layered recomputation of one command's range tag is
-// served from a small memo table (block_range_tag_cached).
+// SCSI block tags telescope: block_tag(l) = g(l) ^ g(l + 1) for a keyed
+// FNV hash g, so the XOR over any range collapses to its two endpoints and
+// block_range_tag is O(1) however many blocks a command spans. A ledger's
+// XOR still differs from the expected one exactly when the odd-multiplicity
+// difference of the block multisets is non-empty, and a non-empty finite
+// set of integers has a non-empty boundary, so detection keeps the 2^-64
+// collision odds of a per-block XOR.
 #pragma once
 
 #include <cstdint>
@@ -57,49 +59,28 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 }
 
 namespace detail {
-/// mix64's first word is the fixed domain constant for SCSI block tags;
-/// its 8 rounds are folded into this seed at compile time.
+/// g(x): FNV-1a of `x` keyed by the SCSI block domain constant, whose 8
+/// rounds are folded into this seed at compile time.
 inline constexpr std::uint64_t kBlockTagSeed =
     fnv64_seeded(kFnvOffset, 0x5C51B10CULL);  // "scsi block"
+[[nodiscard]] constexpr std::uint64_t block_edge(std::uint64_t x) noexcept {
+  return fnv64_seeded(kBlockTagSeed, x);
+}
 }  // namespace detail
 
-/// Tag of one 512-byte logical block at `lba`. Domain-separated from raw
-/// fnv64 so LBA tags never collide with offset-derived tags.
-[[nodiscard]] constexpr std::uint64_t block_tag(std::uint64_t lba) noexcept {
-  return fnv64_seeded(detail::kBlockTagSeed, lba);
-}
-
-/// XOR-composed tag of `blocks` consecutive logical blocks starting at
-/// `lba`. block_range_tag(l, m) ^ block_range_tag(l + m, n) ==
+/// XOR-composed tag of `blocks` consecutive 512-byte logical blocks
+/// starting at `lba`, in O(1); 0 for an empty range. Domain-separated from
+/// raw fnv64 so LBA tags never collide with offset-derived tags.
+/// block_range_tag(l, m) ^ block_range_tag(l + m, n) ==
 /// block_range_tag(l, m + n), so any chunking of an I/O composes.
 [[nodiscard]] constexpr std::uint64_t block_range_tag(
     std::uint64_t lba, std::uint32_t blocks) noexcept {
-  std::uint64_t t = 0;
-  for (std::uint32_t i = 0; i < blocks; ++i) t ^= block_tag(lba + i);
-  return t;
+  return detail::block_edge(lba) ^ detail::block_edge(lba + blocks);
 }
 
-/// block_range_tag through a thread-local memo table. One command's range
-/// tag is needed at every layer it crosses (initiator content tag, target
-/// staging tag, LUN write ledger); the first layer computes it, the rest
-/// hit the memo. Values are identical to block_range_tag — the cache only
-/// short-circuits recomputation, so determinism is unaffected.
-[[nodiscard]] inline std::uint64_t block_range_tag_cached(
-    std::uint64_t lba, std::uint32_t blocks) noexcept {
-  struct Entry {
-    std::uint64_t lba = ~0ULL;
-    std::uint32_t blocks = 0;
-    std::uint64_t tag = 0;
-  };
-  // Direct-mapped, sized for the handful of commands in flight at once.
-  static thread_local Entry cache[64];
-  Entry& e = cache[(lba ^ blocks) & 63];
-  if (e.lba != lba || e.blocks != blocks) {
-    e.lba = lba;
-    e.blocks = blocks;
-    e.tag = block_range_tag(lba, blocks);
-  }
-  return e.tag;
+/// Tag of one logical block at `lba`; block_range_tag is the XOR of these.
+[[nodiscard]] constexpr std::uint64_t block_tag(std::uint64_t lba) noexcept {
+  return detail::block_edge(lba) ^ detail::block_edge(lba + 1);
 }
 
 /// Tag of one RFTP block: `bytes` of payload at byte `offset` of the

@@ -165,7 +165,7 @@ sim::Task<> Target::serve_task(numa::Thread& th, Pdu cmd) {
           if (resp.status == scsi::Status::kGood) {
             // Stamp the staging chunk's payload identity; the datamover
             // carries it to the initiator buffer for digest verification.
-            staging->content_tag = fault::block_range_tag_cached(lba, blocks);
+            staging->content_tag = fault::block_range_tag(lba, blocks);
             // Data-In rides the ordered session QP ahead of the response;
             // the staging buffer recycles on the send completion, and the
             // worker moves on immediately (completion-driven pipeline).
