@@ -3,13 +3,17 @@
 // bursts, a link flap, a latency spike, a blackhole and a QP kill — with
 // end-to-end integrity verified at the sink and no hang. The seed comes
 // from E2E_CHAOS_SEED (CI sweeps a matrix of seeds); the same seed must
-// reproduce byte-identical traces.
+// reproduce byte-identical traces. ObserverPin holds fixed-seed runs of
+// every mode to golden hashes of their trace, stats and flight output.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -22,6 +26,7 @@
 #include "iscsi/tcp_datamover.hpp"
 #include "iser/session.hpp"
 #include "rftp/rftp.hpp"
+#include "stats/registry.hpp"
 #include "testutil.hpp"
 #include "trace/tracer.hpp"
 
@@ -66,38 +71,78 @@ FaultPlan chaos_plan(std::uint64_t seed, sim::SimDuration horizon, int qps) {
 // ---------------------------------------------------------------------------
 // rftp
 
+/// Tracer plus stats registry installed on one engine, with a flight ring
+/// large enough that a pinned run never overwrites a record. capture()
+/// renders everything they recorded.
+struct Observers {
+  trace::Tracer tracer;
+  stats::Registry stats;
+
+  explicit Observers(sim::Engine& eng)
+      : tracer(eng), stats(eng, stats::Config{4096, std::size_t{1} << 16}) {
+    tracer.install();
+    stats.install();
+  }
+
+  struct Captured {
+    std::string chrome_trace;
+    std::string stats_json;
+    std::string flight;
+  };
+  [[nodiscard]] Captured capture() const {
+    EXPECT_LE(stats.flight_written(), stats.flight_capacity());
+    std::ostringstream ts, ss, fs;
+    tracer.write_chrome_trace(ts);
+    stats.write_json(ss);
+    stats.dump_flight(fs);
+    return {ts.str(), ss.str(), fs.str()};
+  }
+};
+
+// ---------------------------------------------------------------------------
+// rftp
+
 struct RftpChaosOutcome {
   rftp::TransferResult result;
   std::uint64_t failovers = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t faults_injected = 0;
-  std::string chrome_trace;
+  Observers::Captured observed;
 };
 
-RftpChaosOutcome run_rftp_chaos(std::uint64_t seed, std::uint64_t total,
-                                bool with_trace) {
+constexpr int kRftpStreams = 3;
+
+/// The seeded chaos mix over ~80% of the transfer's expected duration at
+/// line rate, so every event lands while data is still moving.
+FaultPlan rftp_chaos_plan(std::uint64_t seed, std::uint64_t total) {
+  return chaos_plan(seed, static_cast<sim::SimDuration>(total / 6),
+                    kRftpStreams);
+}
+
+RftpChaosOutcome run_rftp_chaos(const FaultPlan& plan, std::uint64_t total,
+                                bool observe) {
   TinyRig rig;
   // Full invariant audit rides along on every chaos run: faulted paths are
   // exactly where conservation bugs hide.
   check::Auditor audit(rig.eng);
-  trace::Tracer tracer(rig.eng);
-  if (with_trace) tracer.install();
+  std::optional<Observers> obs;
+  if (observe) obs.emplace(rig.eng);
 
   rftp::RftpConfig cfg;
-  cfg.streams = 3;
+  cfg.streams = kRftpStreams;
   cfg.block_bytes = 4 << 20;
   rftp::EndpointConfig snd{rig.proc_a.get(), {rig.dev_a.get()}};
   rftp::EndpointConfig rcv{rig.proc_b.get(), {rig.dev_b.get()}};
   rftp::RftpSession sess(snd, rcv, {rig.link.get()}, cfg);
 
-  // ~80% of the transfer's expected duration at line rate, so every event
-  // lands while data is still moving.
-  const auto horizon = static_cast<sim::SimDuration>(total / 6);
-  FaultInjector inj(rig.eng, chaos_plan(seed, horizon, cfg.streams));
+  FaultInjector inj(rig.eng, plan);
   inj.attach(*rig.link);
   const int streams = cfg.streams;
   inj.set_qp_kill_handler(
       [&sess, streams](int qp) { sess.kill_stream(qp % streams); });
+  inj.set_crash_handler([&sess](int host, sim::SimDuration down) {
+    sess.crash_host(host, down);
+  });
   inj.arm();
 
   rftp::ZeroSource src(total);
@@ -110,17 +155,14 @@ RftpChaosOutcome run_rftp_chaos(std::uint64_t seed, std::uint64_t total,
   out.faults_injected = inj.faults_injected();
   audit.finalize();
   EXPECT_TRUE(audit.ok()) << audit_report(audit);
-  if (with_trace) {
-    std::ostringstream os;
-    tracer.write_chrome_trace(os);
-    out.chrome_trace = os.str();
-  }
+  if (obs) out.observed = obs->capture();
   return out;
 }
 
 TEST(ChaosRftp, MultiGbTransferSurvivesSeededPlan) {
   const std::uint64_t total = 2ull << 30;  // 2 GiB
-  const auto out = run_rftp_chaos(chaos_seed(), total, false);
+  const auto out =
+      run_rftp_chaos(rftp_chaos_plan(chaos_seed(), total), total, false);
   EXPECT_TRUE(out.result.complete);
   EXPECT_TRUE(out.result.integrity_ok);
   EXPECT_EQ(out.result.bytes, total);
@@ -132,14 +174,15 @@ TEST(ChaosRftp, MultiGbTransferSurvivesSeededPlan) {
 
 TEST(ChaosRftp, SameSeedReproducesByteIdenticalTrace) {
   const std::uint64_t total = 256ull << 20;
-  const auto a = run_rftp_chaos(chaos_seed(), total, true);
-  const auto b = run_rftp_chaos(chaos_seed(), total, true);
-  ASSERT_FALSE(a.chrome_trace.empty());
-  EXPECT_EQ(a.chrome_trace, b.chrome_trace);
+  const auto plan = rftp_chaos_plan(chaos_seed(), total);
+  const auto a = run_rftp_chaos(plan, total, true);
+  const auto b = run_rftp_chaos(plan, total, true);
+  ASSERT_FALSE(a.observed.chrome_trace.empty());
+  EXPECT_EQ(a.observed.chrome_trace, b.observed.chrome_trace);
   EXPECT_EQ(a.failovers, b.failovers);
   EXPECT_EQ(a.retransmissions, b.retransmissions);
   // And the trace records the injected faults on the fault layer.
-  EXPECT_NE(a.chrome_trace.find("\"fault\""), std::string::npos);
+  EXPECT_NE(a.observed.chrome_trace.find("\"fault\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,9 +205,27 @@ sim::Task<int> drive_writes(iscsi::Initiator& init, numa::Thread& th,
   co_return bad;
 }
 
-TEST(ChaosIser, MultiGbWriteWorkloadSurvivesSeededPlan) {
+struct IscsiChaosOutcome {
+  int bad = 0;
+  std::uint64_t faults_injected = 0;
+  std::uint64_t skipped_events = 0;
+  std::uint64_t recoveries = 0;
+  bool abandoned = false;
+  std::uint64_t writes_executed = 0;
+  std::uint64_t written_digest = 0;
+  std::uint64_t expected_digest = 0;
+  Observers::Captured observed;
+};
+
+constexpr int kChaosWrites = 512;  // 2 GiB: 512 x 4 MiB WRITEs
+
+/// The iSCSI write workload over iSER under the seeded plan, with the
+/// plan's QP kill walked back by the session's recovery supervisor.
+IscsiChaosOutcome run_iser_chaos(std::uint64_t seed, bool observe) {
   TinyRig rig;
   check::Auditor audit(rig.eng);
+  std::optional<Observers> obs;
+  if (observe) obs.emplace(rig.eng);
   auto tgt_fs = std::make_unique<mem::Tmpfs>(*rig.b);
   auto& f = tgt_fs->create("lun0", 2ull << 30, numa::MemPolicy::kBind, 0);
   scsi::Lun lun(0, *tgt_fs, f);
@@ -183,45 +244,47 @@ TEST(ChaosIser, MultiGbWriteWorkloadSurvivesSeededPlan) {
   exp::run_task(rig.eng, session.start(ith, tth));
   target.start(2);
   iscsi::LoginParams params;
-  ASSERT_TRUE(exp::run_task(rig.eng, initiator.login(ith, params)));
+  IscsiChaosOutcome out;
+  EXPECT_TRUE(exp::run_task(rig.eng, initiator.login(ith, params)));
   initiator.start_dispatcher(ith);
   iser::SessionRecoveryPolicy rp;
   rp.mr_bytes_initiator = 4 << 20;
   rp.mr_bytes_target = 4 << 20;
   session.enable_recovery(ith, tth, rp);
 
-  FaultInjector inj(rig.eng,
-                    chaos_plan(chaos_seed(), 400 * sim::kMillisecond, 1));
+  FaultInjector inj(rig.eng, chaos_plan(seed, 400 * sim::kMillisecond, 1));
   inj.attach(*rig.link);
   inj.set_qp_kill_handler([&session](int) { session.kill(); });
   inj.arm();
 
-  // 2 GiB: 512 x 4 MiB WRITEs at distinct LBAs.
-  const int n_cmds = 512;
   const std::uint32_t blocks_per_cmd = (4u << 20) / 512;
   auto buf = make_buffer(*rig.a, 4 << 20, 0);
-  std::uint64_t expected = 0;
-  const int bad = exp::run_task(
-      rig.eng,
-      drive_writes(initiator, ith, n_cmds, blocks_per_cmd, buf, expected));
+  out.bad = exp::run_task(rig.eng,
+                          drive_writes(initiator, ith, kChaosWrites,
+                                       blocks_per_cmd, buf,
+                                       out.expected_digest));
   rig.eng.run();
 
-  EXPECT_EQ(bad, 0);
-  EXPECT_GE(inj.faults_injected(), 5u);
-  EXPECT_GE(session.recoveries(), 1u);  // the QP kill was recovered
-  EXPECT_FALSE(session.abandoned());
-  // Every logical block executed exactly once despite retransmissions:
-  // each 4 MiB command lands as four 1 MiB staging segments, and the
-  // XOR ledger composes segment tags back to the per-command range tag.
-  EXPECT_EQ(lun.writes_executed(), 4u * static_cast<std::uint64_t>(n_cmds));
-  EXPECT_EQ(lun.written_digest(), expected);
+  out.faults_injected = inj.faults_injected();
+  out.skipped_events = inj.skipped_events();
+  out.recoveries = session.recoveries();
+  out.abandoned = session.abandoned();
+  out.writes_executed = lun.writes_executed();
+  out.written_digest = lun.written_digest();
   audit.finalize();
   EXPECT_TRUE(audit.ok()) << audit_report(audit);
+  if (obs) out.observed = obs->capture();
+  return out;
 }
 
-TEST(ChaosTcp, MultiGbWriteWorkloadSurvivesSeededPlan) {
+/// The same workload over iSCSI/TCP. The plan's qpkill event has no QP to
+/// hit on this path and is counted as skipped — the wire faults are all
+/// absorbed inside TCP.
+IscsiChaosOutcome run_tcp_chaos(std::uint64_t seed, bool observe) {
   TinyRig rig;
   check::Auditor audit(rig.eng);
+  std::optional<Observers> obs;
+  if (observe) obs.emplace(rig.eng);
   auto tgt_fs = std::make_unique<mem::Tmpfs>(*rig.b);
   auto& f = tgt_fs->create("lun0", 2ull << 30, numa::MemPolicy::kBind, 0);
   scsi::Lun lun(0, *tgt_fs, f);
@@ -241,32 +304,144 @@ TEST(ChaosTcp, MultiGbWriteWorkloadSurvivesSeededPlan) {
   exp::run_task(rig.eng, session.start(ith, itx, tth, ttx));
   target.start(2);
   iscsi::LoginParams params;
-  ASSERT_TRUE(exp::run_task(rig.eng, initiator.login(ith, params)));
+  IscsiChaosOutcome out;
+  EXPECT_TRUE(exp::run_task(rig.eng, initiator.login(ith, params)));
   initiator.start_dispatcher(ith);
 
-  // Same plan shape; the qpkill event has no QP to hit on the TCP path and
-  // is counted as skipped — the wire faults are all absorbed inside TCP.
-  FaultInjector inj(rig.eng,
-                    chaos_plan(chaos_seed(), 400 * sim::kMillisecond, 1));
+  FaultInjector inj(rig.eng, chaos_plan(seed, 400 * sim::kMillisecond, 1));
   inj.attach(*rig.link);
   inj.arm();
 
-  const int n_cmds = 512;
   const std::uint32_t blocks_per_cmd = (4u << 20) / 512;
   auto buf = make_buffer(*rig.a, 4 << 20, 0);
-  std::uint64_t expected = 0;
-  const int bad = exp::run_task(
-      rig.eng,
-      drive_writes(initiator, ith, n_cmds, blocks_per_cmd, buf, expected));
+  out.bad = exp::run_task(rig.eng,
+                          drive_writes(initiator, ith, kChaosWrites,
+                                       blocks_per_cmd, buf,
+                                       out.expected_digest));
   rig.eng.run();
 
-  EXPECT_EQ(bad, 0);
-  EXPECT_GE(inj.faults_injected(), 4u);
-  EXPECT_EQ(inj.skipped_events(), 1u);  // the qpkill, by design
-  EXPECT_EQ(lun.writes_executed(), 4u * static_cast<std::uint64_t>(n_cmds));
-  EXPECT_EQ(lun.written_digest(), expected);
+  out.faults_injected = inj.faults_injected();
+  out.skipped_events = inj.skipped_events();
+  out.writes_executed = lun.writes_executed();
+  out.written_digest = lun.written_digest();
   audit.finalize();
   EXPECT_TRUE(audit.ok()) << audit_report(audit);
+  if (obs) out.observed = obs->capture();
+  return out;
+}
+
+TEST(ChaosIser, MultiGbWriteWorkloadSurvivesSeededPlan) {
+  const auto out = run_iser_chaos(chaos_seed(), false);
+  EXPECT_EQ(out.bad, 0);
+  EXPECT_GE(out.faults_injected, 5u);
+  EXPECT_GE(out.recoveries, 1u);  // the QP kill was recovered
+  EXPECT_FALSE(out.abandoned);
+  // Every logical block executed exactly once despite retransmissions:
+  // each 4 MiB command lands as four 1 MiB staging segments, and the
+  // XOR ledger composes segment tags back to the per-command range tag.
+  EXPECT_EQ(out.writes_executed,
+            4u * static_cast<std::uint64_t>(kChaosWrites));
+  EXPECT_EQ(out.written_digest, out.expected_digest);
+}
+
+TEST(ChaosTcp, MultiGbWriteWorkloadSurvivesSeededPlan) {
+  const auto out = run_tcp_chaos(chaos_seed(), false);
+  EXPECT_EQ(out.bad, 0);
+  EXPECT_GE(out.faults_injected, 4u);
+  EXPECT_EQ(out.skipped_events, 1u);  // the qpkill, by design
+  EXPECT_EQ(out.writes_executed,
+            4u * static_cast<std::uint64_t>(kChaosWrites));
+  EXPECT_EQ(out.written_digest, out.expected_digest);
+}
+
+// ---------------------------------------------------------------------------
+// Observer pin: fixed-seed runs of every mode, plus one crash plan, with the
+// tracer and the stats registry installed. The Chrome trace, the stats JSON
+// and the full flight stream are hashed whole, so any change to how the
+// layers instrument themselves must reproduce every byte. The seeds are
+// fixed (not E2E_CHAOS_SEED): these are goldens, not a sweep.
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Distinct flight codes in a dump_flight() stream: each record line ends
+/// "<entity> <code> arg=<n>".
+std::set<std::string> flight_codes(const std::string& flight) {
+  std::set<std::string> codes;
+  std::istringstream in(flight);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto arg = line.rfind(" arg=");
+    if (arg == std::string::npos) continue;
+    const auto sp = line.rfind(' ', arg - 1);
+    codes.insert(line.substr(sp + 1, arg - sp - 1));
+  }
+  return codes;
+}
+
+struct Pinned {
+  std::uint64_t chrome_trace;
+  std::uint64_t stats_json;
+  std::uint64_t flight;
+};
+
+void expect_pinned(const char* run, const Observers::Captured& got,
+                   const Pinned& want) {
+  SCOPED_TRACE(run);
+  EXPECT_FALSE(got.flight.empty());
+  EXPECT_EQ(fnv1a(got.chrome_trace), want.chrome_trace);
+  EXPECT_EQ(fnv1a(got.stats_json), want.stats_json);
+  EXPECT_EQ(fnv1a(got.flight), want.flight);
+}
+
+TEST(ObserverPin, ChaosRunsReproduceTraceStatsAndFlightBytes) {
+  constexpr std::uint64_t kSeed = 1;
+  const std::uint64_t total = 256ull << 20;
+  const auto rftp = run_rftp_chaos(rftp_chaos_plan(kSeed, total), total, true);
+  const auto crash = run_rftp_chaos(
+      FaultPlan::parse("loss@5ms:n=3; crash@10ms:host=1,down=10ms; "
+                       "hole@25ms:dur=2ms,dir=ba; "
+                       "qpkill@40ms:qp=1"),
+      total, true);
+  const auto iser = run_iser_chaos(kSeed, true);
+  const auto tcp = run_tcp_chaos(kSeed, true);
+  ASSERT_TRUE(rftp.result.complete);
+  ASSERT_TRUE(crash.result.complete);
+  ASSERT_EQ(crash.result.crashes, 1u);
+
+  expect_pinned("rftp", rftp.observed,
+                {5204307312761291569ull, 6447483301515132448ull,
+                 14482294846632569833ull});
+  expect_pinned("rftp-crash", crash.observed,
+                {9693685875816567347ull, 12415983727168878716ull,
+                 4816452287066359001ull});
+  expect_pinned("iser", iser.observed,
+                {9785133413004289924ull, 12179610883604944944ull,
+                 15303465518803493594ull});
+  expect_pinned("tcp", tcp.observed,
+                {1063866216643380068ull, 11878131878619925563ull,
+                 10519472598810720339ull});
+
+  // Which of the 24 instrumented flight codes these runs reach. The other
+  // nine (rnr, loss, command-abandoned, data-loss, data-abort,
+  // session-abandoned, false-suspect, dup-block, checksum-mismatch) need
+  // fault shapes or options these plans do not exercise.
+  std::set<std::string> reached;
+  for (const auto* o : {&rftp.observed, &crash.observed, &iser.observed,
+                        &tcp.observed})
+    reached.merge(flight_codes(o->flight));
+  const std::set<std::string> want{
+      "block-drained", "block-filled", "block-posted", "command-retry",
+      "crash",         "data-retry",   "grant-retransmit", "qp-kill",
+      "qp-recover",    "resume",       "retransmit",   "rx-drop",
+      "stream-dead",   "wire-failure", "wr-flush"};
+  EXPECT_EQ(reached, want);
 }
 
 }  // namespace
