@@ -72,7 +72,7 @@ void Auditor::violate(std::string_view rule, std::string detail) {
   // Violations surface in the trace too (lazily: zero-violation runs emit
   // nothing, keeping audited traces byte-identical to unaudited ones).
   if (auto* tr = trace::of(eng_)) {
-    tr->instant(tr->track(trace::Layer::kApp, "check/violations"), v.rule);
+    tr->instant(tr->track(Layer::kApp, "check/violations"), v.rule);
     tr->counter("check/violations").add(1);
   }
   // An invariant break is exactly what the flight recorder exists for:

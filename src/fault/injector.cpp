@@ -46,7 +46,7 @@ void FaultInjector::arm() {
 void FaultInjector::fire(LinkState& ls, const char* name) {
   ++faults_injected_;
   if (auto* tr = trace::of(eng_)) {
-    const auto tk = ls.trk.get(tr, trace::Layer::kFault,
+    const auto tk = ls.trk.get(tr, Layer::kFault,
                                "fault/" + ls.link->name());
     tr->instant(tk, name);
     tr->counter("fault/injected").add(1);
@@ -58,7 +58,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
     ++faults_injected_;
     if (auto* tr = trace::of(eng_)) {
       const auto tk =
-          plan_trk_.get(tr, trace::Layer::kFault, "fault/plan");
+          plan_trk_.get(tr, Layer::kFault, "fault/plan");
       tr->instant(tk, "qp-kill");
       tr->counter("fault/injected").add(1);
     }
@@ -70,7 +70,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
     ++faults_injected_;
     if (auto* tr = trace::of(eng_)) {
       const auto tk =
-          plan_trk_.get(tr, trace::Layer::kFault, "fault/plan");
+          plan_trk_.get(tr, Layer::kFault, "fault/plan");
       tr->instant(tk, "host-crash");
       tr->counter("fault/injected").add(1);
     }
@@ -96,7 +96,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
       eng_.schedule_after(ev.duration, [this, &ls] {
         ls.down = false;
         if (auto* tr = trace::of(eng_))
-          tr->instant(ls.trk.get(tr, trace::Layer::kFault,
+          tr->instant(ls.trk.get(tr, Layer::kFault,
                                  "fault/" + ls.link->name()),
                       "link-up");
       });
@@ -109,7 +109,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
       eng_.schedule_after(ev.duration, [this, &ls, add] {
         ls.extra_latency -= add;
         if (auto* tr = trace::of(eng_))
-          tr->instant(ls.trk.get(tr, trace::Layer::kFault,
+          tr->instant(ls.trk.get(tr, Layer::kFault,
                                  "fault/" + ls.link->name()),
                       "latency-normal");
       });
@@ -122,7 +122,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
       eng_.schedule_after(ev.duration, [this, &ls, d] {
         ls.hole[d] = false;
         if (auto* tr = trace::of(eng_))
-          tr->instant(ls.trk.get(tr, trace::Layer::kFault,
+          tr->instant(ls.trk.get(tr, Layer::kFault,
                                  "fault/" + ls.link->name()),
                       "blackhole-end");
       });
@@ -169,7 +169,7 @@ net::TxFate FaultInjector::on_transmit(net::Link& link, net::Direction d,
   if (fate.fail) {
     ++messages_failed_;
     if (auto* tr = trace::of(eng_)) {
-      const auto tk = state->trk.get(tr, trace::Layer::kFault,
+      const auto tk = state->trk.get(tr, Layer::kFault,
                                      "fault/" + link.name());
       tr->instant(tk, cause);
       tr->counter("fault/messages_failed").add(1);

@@ -29,7 +29,7 @@ void Watchdog::check(std::uint64_t gen) {
       ++false_suspicions_;
       if (on_false_suspect_) on_false_suspect_();
       if (auto* tr = trace::of(eng_))
-        tr->instant(tr->track(trace::Layer::kFault, "fault/watchdog"),
+        tr->instant(tr->track(Layer::kFault, "fault/watchdog"),
                     "false-suspect");
     }
     suspicious_ = false;
@@ -39,7 +39,7 @@ void Watchdog::check(std::uint64_t gen) {
     ++suspicions_;
     ++quiet_count_;
     if (auto* tr = trace::of(eng_))
-      tr->instant(tr->track(trace::Layer::kFault, "fault/watchdog"),
+      tr->instant(tr->track(Layer::kFault, "fault/watchdog"),
                   "quiet-period");
   }
   const bool hard_blown =
@@ -49,7 +49,7 @@ void Watchdog::check(std::uint64_t gen) {
     armed_ = false;
     ++generation_;
     if (auto* tr = trace::of(eng_))
-      tr->instant(tr->track(trace::Layer::kFault, "fault/watchdog"),
+      tr->instant(tr->track(Layer::kFault, "fault/watchdog"),
                   "declared-dead");
     if (on_dead_) on_dead_();
     return;

@@ -13,11 +13,10 @@
 #include "mem/buffer.hpp"
 #include "mem/flat_table.hpp"
 #include "numa/process.hpp"
+#include "obs/probe.hpp"
 #include "sim/channel.hpp"
 #include "sim/rng.hpp"
 #include "sim/sync.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::iscsi {
 
@@ -59,7 +58,8 @@ class Initiator {
         dm_(dm),
         command_timeout_(command_timeout),
         policy_(policy),
-        jitter_rng_(policy.jitter_seed) {}
+        jitter_rng_(policy.jitter_seed),
+        obs_(Layer::kIscsi, initiator_name(proc), {initiator_name(proc)}) {}
   Initiator(const Initiator&) = delete;
   Initiator& operator=(const Initiator&) = delete;
 
@@ -148,21 +148,15 @@ class Initiator {
   // recycled across commands; timers hold generation-counted Refs that go
   // stale on erase instead of keeping the object alive.
   mem::PendingTable<Pending> pending_;
-  trace::CachedTrack trace_trk_;
 
-  // Stats handles: command-latency histogram plus retry/failure counters,
-  // with flight records for every retransmission and abandonment.
-  stats::CachedEntity stats_ent_;
+  // Observer handle: the initiator's track and entity
+  // ("<host>/initiator#n") plus a slot per probe in initiator.cpp, and the
+  // command-latency histogram.
+  obs::Actor<5> obs_;
   stats::CachedHistogram hist_cmd_;
-  stats::CachedCounter sctr_retries_;
-  stats::CachedCounter sctr_failures_;
-  stats::CachedCode code_retry_;
-  stats::CachedCode code_abandon_;
 
-  stats::EntityId stats_entity(stats::Registry* st) {
-    return stats_ent_.get_lazy(st, stats::Layer::kIscsi, [this] {
-      return proc_.host().name() + "/initiator";
-    });
+  static obs::Name initiator_name(numa::Process& proc) {
+    return obs::Name::minted(proc.host().name(), "/initiator");
   }
 };
 

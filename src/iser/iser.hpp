@@ -21,11 +21,10 @@
 #include "iscsi/pdu.hpp"
 #include "mem/flat_table.hpp"
 #include "numa/process.hpp"
+#include "obs/probe.hpp"
 #include "rdma/qp.hpp"
 #include "sim/channel.hpp"
 #include "sim/sync.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::iser {
 
@@ -91,13 +90,6 @@ class IserEndpoint final : public iscsi::Datamover {
   sim::Task<> await_data_op(numa::Thread& th, rdma::SendWr wr,
                             const char* span_name);
 
-  /// This endpoint's trace track ("<host>/iser#n"), minted lazily.
-  trace::TrackId trace_track(trace::Tracer* tr) {
-    return trace_trk_.get_lazy(
-        tr, trace::Layer::kIser,
-        [this] { return proc_.host().name() + "/iser"; });
-  }
-
   /// Per-PDU-type "pdu:<type>" marker name, built and interned once.
   trace::NameId pdu_name(trace::Tracer* tr, iscsi::PduType t) {
     return pdu_names_[static_cast<std::size_t>(t)].get_lazy(
@@ -134,29 +126,17 @@ class IserEndpoint final : public iscsi::Datamover {
   std::uint64_t data_losses_ = 0;
   int data_retry_limit_ = 12;
   bool started_ = false;
-  trace::CachedTrack trace_trk_;
+  // Observer handle: this endpoint's track and entity ("<host>/iser#n")
+  // plus a slot per probe in iser.cpp (data-op losses, aborts, retries).
+  obs::Actor<3> obs_;
+  // Single-sink handles: PDU markers and byte/op counters on the tracer,
+  // the data-op round-trip histogram on the registry.
   trace::CachedSeries pdu_names_[11];  // indexed by iscsi::PduType
   trace::CachedCounter ctr_pdus_sent_;
   trace::CachedCounter ctr_pdus_received_;
   trace::CachedCounter ctr_data_bytes_;
   trace::CachedCounter ctr_data_ops_;
-
-  // Stats handles: one entity per endpoint, data-op round-trip histogram
-  // plus retry/abort/loss counters and matching flight records.
-  stats::CachedEntity stats_ent_;
   stats::CachedHistogram hist_data_;
-  stats::CachedCounter sctr_retries_;
-  stats::CachedCounter sctr_aborts_;
-  stats::CachedCounter sctr_losses_;
-  stats::CachedCode code_retry_;
-  stats::CachedCode code_abort_;
-  stats::CachedCode code_loss_;
-
-  stats::EntityId stats_entity(stats::Registry* st) {
-    return stats_ent_.get_lazy(st, stats::Layer::kIser, [this] {
-      return proc_.host().name() + "/iser";
-    });
-  }
 };
 
 }  // namespace e2e::iser

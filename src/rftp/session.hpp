@@ -35,14 +35,13 @@
 #include "metrics/throughput.hpp"
 #include "net/link.hpp"
 #include "numa/process.hpp"
+#include "obs/probe.hpp"
 #include "rdma/cm.hpp"
 #include "rftp/config.hpp"
 #include "rftp/source_sink.hpp"
 #include "sim/channel.hpp"
 #include "sim/ring_queue.hpp"
 #include "sim/sync.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::rftp {
 
@@ -185,34 +184,16 @@ class RftpSession {
     /// stream requeues these alongside its in-flight blocks. Flat set
     /// (values unused); the death path drains it in key order.
     mem::FlatMap<char> sent_unconfirmed;
-    // Shared per-stream track: block lifetimes trace as async spans from
-    // fill-claim (sender) to drain (receiver), keyed by block index.
-    trace::CachedTrack trk;
-
-    // Stats handles: per-stream entity carrying the fill/drain latency and
-    // credit-wait histograms plus the failover counters, with flight
-    // records for every block milestone (the postmortem window).
-    stats::CachedEntity stats_ent;
+    // Observer handle: the shared "stream<id>" track (block lifetimes
+    // trace as async spans on it from fill-claim to drain, keyed by block
+    // index) and entity, with a slot per stream probe in session.cpp — a
+    // flight record for every block milestone (the postmortem window) and
+    // every failover event.
+    obs::Actor<8> obs;
+    // The entity's fill/drain latency and credit-wait histograms.
     stats::CachedHistogram hist_fill;
     stats::CachedHistogram hist_credit;
     stats::CachedHistogram hist_drain;
-    stats::CachedCounter sctr_posted;
-    stats::CachedCounter sctr_delivered;
-    stats::CachedCounter sctr_retx;
-    stats::CachedCode code_fill;
-    stats::CachedCode code_post;
-    stats::CachedCode code_drain;
-    stats::CachedCode code_retx;
-    stats::CachedCode code_grant_retx;
-    stats::CachedCode code_dup;
-    stats::CachedCode code_cksum;
-    stats::CachedCode code_dead;
-
-    stats::EntityId stats_entity(stats::Registry* st) {
-      return stats_ent.named_lazy(st, stats::Layer::kRftp, [this] {
-        return "stream" + std::to_string(id);
-      });
-    }
   };
 
   // Pipeline tasks (one coroutine per thread).
@@ -334,7 +315,10 @@ class RftpSession {
   int alive_streams_ = 0;
   bool transfer_failed_ = false;
   std::size_t next_failover_stream_ = 0;  // round-robin requeue target
-  trace::CachedTrack plan_trk_;  // session-wide (non-stream) fault events
+  // Session-wide (non-stream) events: a minted "rftp/session" track and the
+  // shared "session" entity, with a slot per session probe in session.cpp.
+  obs::Actor<7> obs_{Layer::kRftp, obs::Name::shared("session"),
+                     {obs::Name::minted("rftp/session")}};
   // Steady-state fast-forward (cfg_.fast_forward): detector + collapser,
   // constructed per run() on standalone engines only. Null = event-exact.
   std::unique_ptr<FastForward> ff_;

@@ -1,10 +1,16 @@
 #include "sim/engine.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "sim/cluster.hpp"
 
 namespace e2e::sim {
+
+std::uint64_t next_observer_serial() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 Engine::~Engine() {
   if (cluster_ != nullptr) cluster_->detach(*this);

@@ -31,6 +31,9 @@ namespace e2e::sim {
 class Cluster;
 class Resource;
 
+/// A fresh process-unique serial per call; never 0, never reused.
+std::uint64_t next_observer_serial() noexcept;
+
 /// Observer interface the engine exposes to the tracing layer (trace/).
 /// The engine itself never calls it; instrumented components check
 /// Engine::trace_hook() on their hot paths and skip all tracing work when
@@ -41,6 +44,12 @@ class TraceHook {
   /// One FIFO service window [start, end) booked on `r` for `units` work.
   virtual void on_resource_service(const Resource& r, SimTime start,
                                    SimTime end, double units) = 0;
+  /// Identifies this observer for handles that cache ids it minted. Unlike
+  /// its address, which a later observer may reuse, it is never reused.
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
+
+ private:
+  std::uint64_t serial_ = next_observer_serial();
 };
 
 /// Observer interface the engine exposes to the invariant-audit layer
@@ -95,6 +104,11 @@ class AuditHook {
 class StatsHook {
  public:
   virtual ~StatsHook() = default;
+  /// Same contract as TraceHook::serial().
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
+
+ private:
+  std::uint64_t serial_ = next_observer_serial();
 };
 
 class Engine {

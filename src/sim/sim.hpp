@@ -5,6 +5,7 @@
 #include "sim/engine.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/frame_pool.hpp"
+#include "sim/layer.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
 #include "sim/sync.hpp"

@@ -12,7 +12,8 @@
 // Attachment mirrors the tracer: Registry::install() parks the registry in
 // the engine's StatsHook slot; instrumented layers fetch it with
 // stats::of(engine), a single pointer load that is null when stats are
-// disabled.
+// disabled. Notable events (a counter bump plus a flight record) arrive
+// through obs::Actor::emit(), the same call that feeds the tracer.
 //
 // Cardinality is bounded: past Config::max_entities, new entities alias to
 // the reserved "<overflow>" entity (id 0) instead of growing without
@@ -22,7 +23,7 @@
 // cached-handle idiom requires.
 //
 // The flight recorder is a fixed ring of POD records (time, layer, entity,
-// code, arg) fed by the same instrumentation sites. It always runs; it is
+// code, arg) fed by those event probes. It always runs; it is
 // only ever *read* when something goes wrong (an audit violation, a
 // terminal fault recovery, a scenario exiting nonzero), at which point
 // trigger_flight_dump() prints the last window of records — postmortem
@@ -44,41 +45,11 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/layer.hpp"
 #include "sim/time.hpp"
 #include "stats/histogram.hpp"
 
 namespace e2e::stats {
-
-/// Which layer of the stack a metric or flight record belongs to.
-/// Mirrors trace::Layer (kept separate so stats/ does not depend on
-/// trace/); exports group by this.
-enum class Layer : std::uint8_t {
-  kSim,    // engine resources
-  kRdma,   // verbs queue pairs
-  kTcp,    // TCP/IP connections
-  kIscsi,  // iSCSI session layer
-  kIser,   // iSER datamover
-  kRftp,   // RFTP transfer protocol
-  kBlk,    // block / filesystem
-  kApp,    // applications and drivers
-  kFault,  // fault injection and recovery
-};
-inline constexpr int kLayerCount = 9;
-
-constexpr std::string_view to_string(Layer l) noexcept {
-  switch (l) {
-    case Layer::kSim: return "sim";
-    case Layer::kRdma: return "rdma";
-    case Layer::kTcp: return "tcp";
-    case Layer::kIscsi: return "iscsi";
-    case Layer::kIser: return "iser";
-    case Layer::kRftp: return "rftp";
-    case Layer::kBlk: return "blk";
-    case Layer::kApp: return "app";
-    case Layer::kFault: return "fault";
-  }
-  return "?";
-}
 
 using EntityId = std::uint32_t;
 using CodeId = std::uint16_t;
@@ -187,9 +158,9 @@ class Registry final : public sim::StatsHook {
 
   // --- metrics ------------------------------------------------------------
   // Created on first use, stable addresses for the registry's lifetime
-  // (deque-pooled). Call sites cache the returned reference in a
-  // CachedCounter/CachedGauge/CachedHistogram so the map probe happens
-  // once per site per registry.
+  // (deque-pooled). Call sites cache the returned reference (obs::Actor
+  // for event counters, CachedGauge/CachedHistogram below) so the map probe
+  // happens once per site per registry.
 
   Counter& counter(EntityId entity, std::string_view name);
   Gauge& gauge(EntityId entity, std::string_view name);
@@ -208,7 +179,7 @@ class Registry final : public sim::StatsHook {
 
   // --- flight recorder ----------------------------------------------------
 
-  /// Interns a record code (idempotent; cache via CachedCode).
+  /// Interns a record code (idempotent; obs::Actor caches it per probe).
   CodeId code(std::string_view name);
 
   /// Appends one record to the ring. Constant time, allocation-free,
@@ -371,87 +342,33 @@ class Registry final : public sim::StatsHook {
 }
 
 // --- per-site cached handles ----------------------------------------------
-// Same idiom as trace::CachedTrack/CachedCounter: the handle re-resolves
-// only when the installed registry changed, so steady state is one pointer
-// compare. Each cache instance serves one fixed (entity, name) site — give
-// per-QP/per-stream state its own instances.
-
-struct CachedEntity {
-  Registry* owner = nullptr;
-  EntityId id = 0;
-  /// Minted entity whose base name is built only on first use per registry.
-  template <typename MakeBase>
-  EntityId get_lazy(Registry* r, Layer layer, MakeBase&& make_base) {
-    if (owner != r) {
-      id = r->mint_entity(layer, make_base());
-      owner = r;
-    }
-    return id;
-  }
-  /// Idempotent named entity.
-  EntityId named(Registry* r, Layer layer, std::string_view name) {
-    if (owner != r) {
-      id = r->entity(layer, name);
-      owner = r;
-    }
-    return id;
-  }
-  /// Idempotent named entity whose name is built only on first use.
-  template <typename MakeName>
-  EntityId named_lazy(Registry* r, Layer layer, MakeName&& make_name) {
-    if (owner != r) {
-      id = r->entity(layer, make_name());
-      owner = r;
-    }
-    return id;
-  }
-};
-
-struct CachedCounter {
-  Registry* owner = nullptr;
-  Counter* c = nullptr;
-  Counter& get(Registry* r, EntityId entity, std::string_view name) {
-    if (owner != r) {
-      c = &r->counter(entity, name);
-      owner = r;
-    }
-    return *c;
-  }
-};
+// Same idiom as trace::CachedCounter: the handle re-resolves only when the
+// installed registry changed, so steady state is one pointer compare. Each
+// cache instance serves one fixed (entity, name) site — give per-QP/per-
+// stream state its own instances. Counters and flight records for notable
+// events go through obs::Actor instead, which caches them per probe.
 
 struct CachedGauge {
-  Registry* owner = nullptr;
+  std::uint64_t owner = 0;  // serial() of the resolving observer
   Gauge* g = nullptr;
   Gauge& get(Registry* r, EntityId entity, std::string_view name) {
-    if (owner != r) {
+    if (owner != r->serial()) {
       g = &r->gauge(entity, name);
-      owner = r;
+      owner = r->serial();
     }
     return *g;
   }
 };
 
 struct CachedHistogram {
-  Registry* owner = nullptr;
+  std::uint64_t owner = 0;  // serial() of the resolving observer
   Histogram* h = nullptr;
   Histogram& get(Registry* r, EntityId entity, std::string_view name) {
-    if (owner != r) {
+    if (owner != r->serial()) {
       h = &r->histogram(entity, name);
-      owner = r;
+      owner = r->serial();
     }
     return *h;
-  }
-};
-
-struct CachedCode {
-  Registry* owner = nullptr;
-  CodeId id = 0;
-  CodeId get(Registry* r, std::string_view name) {
-    if (owner != r) {
-      id = r->code(name);
-      owner = r;
-    }
-    return id;
   }
 };
 

@@ -9,7 +9,8 @@
 // TraceHook. Instrumented layers fetch it with trace::of(engine) — a
 // single pointer load that is null when tracing is disabled, so the
 // disabled fast path costs one predictable branch per site and allocates
-// nothing.
+// nothing. Notable events (an instant plus a counter) arrive through
+// obs::Actor::emit(), the same call that feeds the stats registry.
 //
 // Determinism: the tracer never reads wall-clock time or any other
 // ambient state. All timestamps are simulated nanoseconds, all ids are
@@ -29,40 +30,10 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/layer.hpp"
 #include "sim/time.hpp"
 
 namespace e2e::trace {
-
-/// Which layer of the stack an event belongs to. Renders as one Perfetto
-/// process per layer, so the viewer groups tracks the way the paper's
-/// figures slice the system.
-enum class Layer : std::uint8_t {
-  kSim,    // engine resources (links, cores, memory channels, QPI, PCIe)
-  kRdma,   // verbs queue pairs
-  kTcp,    // TCP/IP connections
-  kIscsi,  // iSCSI session layer
-  kIser,   // iSER datamover
-  kRftp,   // RFTP transfer protocol
-  kBlk,    // block / filesystem
-  kApp,    // applications and drivers
-  kFault,  // fault injection (chaos plans, injected faults, recoveries)
-};
-inline constexpr int kLayerCount = 9;
-
-constexpr std::string_view to_string(Layer l) noexcept {
-  switch (l) {
-    case Layer::kSim: return "sim";
-    case Layer::kRdma: return "rdma";
-    case Layer::kTcp: return "tcp";
-    case Layer::kIscsi: return "iscsi";
-    case Layer::kIser: return "iser";
-    case Layer::kRftp: return "rftp";
-    case Layer::kBlk: return "blk";
-    case Layer::kApp: return "app";
-    case Layer::kFault: return "fault";
-  }
-  return "?";
-}
 
 using TrackId = std::uint32_t;
 using NameId = std::uint32_t;
@@ -293,20 +264,12 @@ inline Tracer* of(sim::Engine& eng) noexcept {
 /// Per-site track cache: mints the site's track once per tracer and then
 /// resolves in O(1), keeping hot instrumentation free of hash lookups.
 struct CachedTrack {
-  Tracer* owner = nullptr;
+  std::uint64_t owner = 0;  // serial() of the resolving observer
   TrackId id = 0;
   TrackId get(Tracer* t, Layer layer, std::string_view base) {
-    if (owner != t) {
+    if (owner != t->serial()) {
       id = t->mint_track(layer, base);
-      owner = t;
-    }
-    return id;
-  }
-  /// Like get() but with a caller-chosen (already unique) actor name.
-  TrackId named(Tracer* t, Layer layer, std::string_view actor) {
-    if (owner != t) {
-      id = t->track(layer, actor);
-      owner = t;
+      owner = t->serial();
     }
     return id;
   }
@@ -314,9 +277,9 @@ struct CachedTrack {
   /// so steady-state call sites skip the string concatenation entirely.
   template <typename MakeBase>
   TrackId get_lazy(Tracer* t, Layer layer, MakeBase&& make_base) {
-    if (owner != t) {
+    if (owner != t->serial()) {
       id = t->mint_track(layer, make_base());
-      owner = t;
+      owner = t->serial();
     }
     return id;
   }
@@ -325,12 +288,12 @@ struct CachedTrack {
 /// Per-site counter cache: one hash lookup per tracer, then add() is an
 /// inlined integer bump.
 struct CachedCounter {
-  Tracer* owner = nullptr;
+  std::uint64_t owner = 0;  // serial() of the resolving observer
   Counter* c = nullptr;
   Counter& get(Tracer* t, std::string_view name) {
-    if (owner != t) {
+    if (owner != t->serial()) {
       c = &t->counter(name);
-      owner = t;
+      owner = t->serial();
     }
     return *c;
   }
@@ -338,12 +301,12 @@ struct CachedCounter {
 
 /// Per-site event-name cache for the instant()/complete() NameId overloads.
 struct CachedName {
-  Tracer* owner = nullptr;
+  std::uint64_t owner = 0;  // serial() of the resolving observer
   NameId id = 0;
   NameId get(Tracer* t, std::string_view name) {
-    if (owner != t) {
+    if (owner != t->serial()) {
       id = t->name_id(name);
-      owner = t;
+      owner = t->serial();
     }
     return id;
   }
@@ -353,13 +316,13 @@ struct CachedName {
 /// use (per tracer), so hot samplers skip both the string build and the
 /// intern lookup.
 struct CachedSeries {
-  Tracer* owner = nullptr;
+  std::uint64_t owner = 0;  // serial() of the resolving observer
   NameId id = 0;
   template <typename MakeName>
   NameId get_lazy(Tracer* t, MakeName&& make_name) {
-    if (owner != t) {
+    if (owner != t->serial()) {
       id = t->name_id(make_name());
-      owner = t;
+      owner = t->serial();
     }
     return id;
   }

@@ -121,30 +121,5 @@ TEST(Registry, MergedHistogramFoldsAcrossEntities) {
   EXPECT_EQ(m.max(), 300u);
 }
 
-TEST(Registry, CachedHandlesReresolveWhenRegistryChanges) {
-  sim::Engine eng;
-  CachedEntity ent;
-  CachedCounter ctr;
-  Registry st1(eng);
-  Registry st2(eng);
-
-  st1.install();
-  Registry* p = of(eng);
-  const EntityId e1 = ent.named(p, Layer::kApp, "worker");
-  Counter& c1 = ctr.get(p, e1, "ops");
-  c1.add(1);
-  EXPECT_EQ(&ctr.get(p, e1, "ops"), &c1);  // steady state: cached
-  EXPECT_EQ(st1.counter_value(e1, "ops"), 1u);
-
-  // Swapping the installed registry must re-resolve the handle into the
-  // new registry's pools, not keep writing into st1's.
-  st2.install();
-  p = of(eng);
-  const EntityId e2 = ent.named(p, Layer::kApp, "worker");
-  ctr.get(p, e2, "ops").add(5);
-  EXPECT_EQ(st2.counter_value(e2, "ops"), 5u);
-  EXPECT_EQ(st1.counter_value(e1, "ops"), 1u);  // st1 untouched
-}
-
 }  // namespace
 }  // namespace e2e::stats
