@@ -134,7 +134,7 @@ class MsgPool {
       return;
     }
 #endif
-    ::operator delete(h);
+    free_block(h);
   }
 
   /// Counters for this thread's pool (tests, diagnostics).
@@ -171,6 +171,14 @@ class MsgPool {
   static_assert(sizeof(FreeBlock) <= sizeof(MsgHeader));
 
   MsgPool() = default;
+
+  /// Returns an unpooled block (oversize, or every block under ASan) to the
+  /// global allocator. Out of line: it is the cold end of recycle(), and
+  /// keeping the deallocation out of MsgPtr's inlined release stops GCC 12
+  /// from reporting a use-after-free (-Wuse-after-free) on the path where a
+  /// copy's release would be the last — a path refcounts rule out, as an
+  /// ASan run of the MsgPtr tests confirms.
+  static void free_block(MsgHeader* h) noexcept;
 
   static MsgPool& instance() noexcept {
     thread_local MsgPool pool;
