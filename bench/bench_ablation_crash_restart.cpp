@@ -22,6 +22,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "exp/figures.hpp"
 #include "exp/runner.hpp"
 #include "exp/testbeds.hpp"
 #include "fault/injector.hpp"
@@ -53,7 +54,7 @@ struct CrashPoint {
 /// One transfer under `plan_str` with the crash handler wired.
 CrashPoint run_crash_case(const std::string& plan_str, int checkpoint_blocks) {
   exp::WanTestbed tb;
-  ScopedStats ss(tb.eng);
+  exp::ScopedStats ss(tb.eng);
 
   rftp::RftpConfig cfg;
   cfg.streams = 4;

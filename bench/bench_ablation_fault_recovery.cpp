@@ -15,6 +15,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "exp/figures.hpp"
 #include "exp/runner.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -111,7 +112,7 @@ sim::Task<> io_job(iscsi::Initiator& init, numa::Thread& th,
 
 Result run_case(bool use_tcp, const Intensity& lvl) {
   sim::Engine eng;
-  ScopedStats ss(eng);  // command-latency percentiles ride on the registry
+  exp::ScopedStats ss(eng);  // command-latency percentiles ride on the registry
   numa::Host fe(eng, model::front_end_lan_host("fe"));
   numa::Host be(eng, model::back_end_lan_host("be"));
   auto link = net::make_ib_lan(eng, "ib");

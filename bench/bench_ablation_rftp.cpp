@@ -7,20 +7,20 @@
 #include <map>
 
 #include "bench_util.hpp"
+#include "exp/figures.hpp"
 #include "metrics/table.hpp"
-#include "scenarios.hpp"
 
 namespace e2e::bench {
 namespace {
 
 const int kCredits[] = {2, 4, 8, 16, 32};
-std::map<int, WanPoint> g_credits;
+std::map<int, exp::WanPoint> g_credits;
 
 void BM_WanCreditDepth(benchmark::State& state) {
   const int credits = kCredits[state.range(0)];
-  WanPoint p;
+  exp::WanPoint p;
   for (auto _ : state) {
-    p = run_wan_point(4, 4ull << 20, 8ull << 30, credits);
+    p = exp::run_wan_point(4, 4ull << 20, 8ull << 30, credits);
     benchmark::DoNotOptimize(p.gbps);
   }
   g_credits[credits] = p;
@@ -32,13 +32,13 @@ BENCHMARK(BM_WanCreditDepth)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-E2eResult g_tuned, g_untuned;
+exp::E2eResult g_tuned, g_untuned;
 
 void BM_E2eNumaAware(benchmark::State& state) {
   const bool tuned = state.range(0) != 0;
-  E2eResult r;
+  exp::E2eResult r;
   for (auto _ : state) {
-    r = run_e2e_rftp(24ull << 30, tuned);
+    r = exp::run_e2e_rftp(24ull << 30, tuned);
     benchmark::DoNotOptimize(r.transfer.goodput_gbps);
   }
   (tuned ? g_tuned : g_untuned) = r;

@@ -8,21 +8,21 @@
 #include <map>
 
 #include "bench_util.hpp"
+#include "exp/figures.hpp"
 #include "metrics/table.hpp"
-#include "scenarios.hpp"
 
 namespace e2e::bench {
 namespace {
 
 const int kThreads[] = {1, 2, 4, 8, 16};
-std::map<int, IserPoint> g_read, g_write;
+std::map<int, exp::IserPoint> g_read, g_write;
 
 void BM_ThreadsPerLun(benchmark::State& state) {
   const int threads = kThreads[state.range(0)];
   const bool write = state.range(1) != 0;
-  IserPoint p;
+  exp::IserPoint p;
   for (auto _ : state) {
-    p = run_iser_point(true, write, 4ull << 20, threads);
+    p = exp::run_iser_point(true, write, 4ull << 20, threads);
     benchmark::DoNotOptimize(p.gbps);
   }
   (write ? g_write : g_read)[threads] = p;

@@ -8,16 +8,16 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "scenarios.hpp"
+#include "exp/figures.hpp"
 
 namespace e2e::bench {
 namespace {
 
-CostBreakdown g_rftp, g_tcp;
+exp::CostBreakdown g_rftp, g_tcp;
 
 void BM_RftpZeroToNull(benchmark::State& state) {
   for (auto _ : state) {
-    g_rftp = run_fig4_rftp();
+    g_rftp = exp::run_fig4_rftp();
     benchmark::DoNotOptimize(g_rftp.gbps);
   }
   state.counters["Gbps"] = g_rftp.gbps;
@@ -27,7 +27,7 @@ BENCHMARK(BM_RftpZeroToNull)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_TcpZeroToNull(benchmark::State& state) {
   for (auto _ : state) {
-    g_tcp = run_fig4_tcp();
+    g_tcp = exp::run_fig4_tcp();
     benchmark::DoNotOptimize(g_tcp.gbps);
   }
   state.counters["Gbps"] = g_tcp.gbps;

@@ -1,38 +1,46 @@
-// Fig. 9: end-to-end throughput over time, RFTP vs GridFTP, across the
+// Figs. 9 and 10: end-to-end throughput over time (Fig. 9) and the CPU
+// breakdown of the same transfers (Fig. 10), RFTP vs GridFTP, across the
 // full SAN -> 3x40G RoCE -> SAN path with XFS over iSER on both sides.
 //
 // Paper numbers: path limit 94.8 Gbps (fio write); RFTP 91 Gbps (96% of
 // the limit); GridFTP 29 Gbps (~30%). The paper plots 25 minutes; this
 // harness transfers a dataset sized for tens of simulated seconds — the
-// steady-state level is the reproduced quantity.
+// steady-state level is the reproduced quantity. Fig. 10 shape:
+// GridFTP's "sys" (kernel TCP/IP + copies) dominates its profile; RFTP
+// spends its (much smaller) budget in user-space protocol and storage I/O.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "exp/figures.hpp"
 #include "metrics/table.hpp"
-#include "scenarios.hpp"
 
 namespace e2e::bench {
 namespace {
 
-E2eResult g_rftp, g_grid;
+exp::E2eResult g_rftp, g_grid;
 
 void BM_E2eRftp(benchmark::State& state) {
   for (auto _ : state) {
-    g_rftp = run_e2e_rftp(64ull << 30);
+    g_rftp = exp::run_e2e_rftp(64ull << 30);
     benchmark::DoNotOptimize(g_rftp.transfer.goodput_gbps);
   }
   state.counters["Gbps"] = g_rftp.transfer.goodput_gbps;
+  state.counters["src_cpu_pct"] =
+      g_rftp.src_usage.total_percent(g_rftp.window);
 }
 BENCHMARK(BM_E2eRftp)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_E2eGridFtp(benchmark::State& state) {
   for (auto _ : state) {
-    g_grid = run_e2e_gridftp(16ull << 30);
+    g_grid = exp::run_e2e_gridftp(16ull << 30);
     benchmark::DoNotOptimize(g_grid.transfer.goodput_gbps);
   }
   state.counters["Gbps"] = g_grid.transfer.goodput_gbps;
+  state.counters["src_cpu_pct"] =
+      g_grid.src_usage.total_percent(g_grid.window);
 }
 BENCHMARK(BM_E2eGridFtp)->Iterations(1)->Unit(benchmark::kMillisecond);
 
@@ -45,6 +53,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   using namespace e2e::bench;
+  using e2e::metrics::CpuCategory;
   print_comparison(
       "Fig. 9 end-to-end throughput",
       {
@@ -98,5 +107,35 @@ int main(int argc, char** argv) {
            g_rftp.transfer.goodput_gbps, &g_rftp.drain_hist);
   json.add("e2e_gridftp_16GiB", g_grid.sim_events, g_grid.wall_seconds,
            g_grid.transfer.goodput_gbps);
+
+  // Fig. 10: the CPU breakdown of the same two runs.
+  print_cpu_breakdown("RFTP source host", g_rftp.src_usage, g_rftp.window);
+  print_cpu_breakdown("RFTP destination host", g_rftp.dst_usage,
+                      g_rftp.window);
+  print_cpu_breakdown("GridFTP source host", g_grid.src_usage,
+                      g_grid.window);
+  print_cpu_breakdown("GridFTP destination host", g_grid.dst_usage,
+                      g_grid.window);
+
+  const double grid_sys =
+      g_grid.src_usage.percent(CpuCategory::kKernelProto, g_grid.window) +
+      g_grid.src_usage.percent(CpuCategory::kCopy, g_grid.window);
+  const double grid_user =
+      g_grid.src_usage.percent(CpuCategory::kUserProto, g_grid.window);
+  const double rftp_kernel =
+      g_rftp.src_usage.percent(CpuCategory::kKernelProto, g_rftp.window);
+  print_comparison(
+      "Fig. 10 shapes",
+      {
+          {"GridFTP sys share of (sys+user)", 80.0,
+           100.0 * grid_sys / (grid_sys + grid_user), "%"},
+          {"RFTP kernel-protocol CPU", 0.0, rftp_kernel, "%"},
+          {"GridFTP CPU per Gbps / RFTP CPU per Gbps", 3.0,
+           (g_grid.src_usage.total_percent(g_grid.window) /
+            g_grid.transfer.goodput_gbps) /
+               (g_rftp.src_usage.total_percent(g_rftp.window) /
+                g_rftp.transfer.goodput_gbps),
+           "x"},
+      });
   return 0;
 }

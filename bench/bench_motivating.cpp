@@ -6,16 +6,16 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "scenarios.hpp"
+#include "exp/figures.hpp"
 
 namespace e2e::bench {
 namespace {
 
-MotivatingResult g_default, g_tuned;
+exp::MotivatingResult g_default, g_tuned;
 
 void BM_IperfDefaultScheduler(benchmark::State& state) {
   for (auto _ : state) {
-    g_default = run_motivating(false);
+    g_default = exp::run_motivating(false);
     benchmark::DoNotOptimize(g_default.iperf_gbps);
   }
   state.counters["Gbps"] = g_default.iperf_gbps;
@@ -27,7 +27,7 @@ BENCHMARK(BM_IperfDefaultScheduler)
 
 void BM_IperfNumaTuned(benchmark::State& state) {
   for (auto _ : state) {
-    g_tuned = run_motivating(true);
+    g_tuned = exp::run_motivating(true);
     benchmark::DoNotOptimize(g_tuned.iperf_gbps);
   }
   state.counters["Gbps"] = g_tuned.iperf_gbps;

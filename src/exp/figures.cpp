@@ -1,17 +1,16 @@
-#include "scenarios.hpp"
+#include "exp/figures.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <memory>
+#include <utility>
+#include <vector>
 
 #include "apps/apps.hpp"
-#include "bench_util.hpp"
 #include "exp/exp.hpp"
 #include "metrics/throughput.hpp"
 #include "numa/stream.hpp"
 #include "rftp/rftp.hpp"
 
-namespace e2e::bench {
+namespace e2e::exp {
 
 using metrics::CpuCategory;
 
@@ -31,7 +30,7 @@ MotivatingResult run_motivating(bool numa_tuned, sim::SimDuration duration) {
     out.stream_interleaved_gBps =
         numa::run_stream_triad(eng, host, opts).triad_gBps;
   }
-  exp::FrontEndPair pair;
+  FrontEndPair pair;
   apps::IperfConfig cfg;
   cfg.bidirectional = true;
   cfg.numa_tuned = numa_tuned;
@@ -50,7 +49,7 @@ MotivatingResult run_motivating(bool numa_tuned, sim::SimDuration duration) {
 }
 
 CostBreakdown run_fig4_rftp(std::uint64_t bytes) {
-  exp::FrontEndPair pair;
+  FrontEndPair pair;
   numa::Process sp(*pair.a, "rftp-s", numa::NumaBinding::bound(0));
   numa::Process rp(*pair.b, "rftp-r", numa::NumaBinding::bound(0));
   rftp::RftpConfig cfg;
@@ -62,7 +61,7 @@ CostBreakdown run_fig4_rftp(std::uint64_t bytes) {
   rftp::ZeroSource src(bytes);
   rftp::NullSink dst;
   const sim::SimTime t0 = pair.eng.now();
-  const auto res = exp::run_task(pair.eng, sess.run(src, dst, bytes));
+  const auto res = run_task(pair.eng, sess.run(src, dst, bytes));
   CostBreakdown out;
   out.window = pair.eng.now() - t0;
   out.gbps = res.goodput_gbps;
@@ -72,7 +71,7 @@ CostBreakdown run_fig4_rftp(std::uint64_t bytes) {
 }
 
 CostBreakdown run_fig4_tcp(sim::SimDuration duration) {
-  exp::FrontEndPair pair;
+  FrontEndPair pair;
   apps::IperfConfig cfg;
   cfg.numa_tuned = true;
   cfg.streams_per_link = 4;
@@ -91,10 +90,10 @@ CostBreakdown run_fig4_tcp(sim::SimDuration duration) {
 
 IserPoint run_iser_point(bool numa_tuned, bool write, std::uint64_t block,
                          int threads_per_lun, sim::SimDuration duration) {
-  exp::SanConfig scfg;
+  SanConfig scfg;
   scfg.numa_tuned = numa_tuned;
   scfg.lun_bytes = 4ull << 30;
-  exp::SanTestbed tb(scfg);
+  SanTestbed tb(scfg);
   tb.start();
   apps::FioOptions opts;
   opts.block_bytes = block;
@@ -130,7 +129,7 @@ struct SimCostProbe {
   std::chrono::steady_clock::time_point t0_;
 };
 
-E2eResult finish_e2e(exp::EndToEndTestbed& tb, rftp::TransferResult res,
+E2eResult finish_e2e(EndToEndTestbed& tb, rftp::TransferResult res,
                      const metrics::ThroughputMeter& meter,
                      sim::SimDuration window) {
   E2eResult out;
@@ -142,10 +141,66 @@ E2eResult finish_e2e(exp::EndToEndTestbed& tb, rftp::TransferResult res,
   return out;
 }
 
+/// Reads `file` with each block's buffer on the front-end node nearest the
+/// SAN stripe that holds it (the NUMA-aware RFTP placement).
+rftp::FileSource numa_aware_source(blk::FileSystem& fs, blk::File& file,
+                                   SanSection& san) {
+  return rftp::FileSource(fs, file, true,
+                          [&san](std::uint64_t off, std::uint64_t) {
+                            return san.fe_node_of(off);
+                          });
+}
+
+/// The three RoCE links as GridFTP sees them, from `tb`'s source side to
+/// its destination side or, with `reverse`, the other way round.
+std::vector<apps::GridFtpLink> gridftp_links(const EndToEndTestbed& tb,
+                                             bool reverse = false) {
+  std::vector<apps::GridFtpLink> links;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto src = tb.src_devs[i]->node();
+    const auto dst = tb.dst_devs[i]->node();
+    links.push_back({tb.roce_links[i].get(), reverse ? dst : src,
+                     reverse ? src : dst});
+  }
+  return links;
+}
+
+sim::Task<> done_after(sim::Task<rftp::TransferResult> t, sim::WaitGroup* w) {
+  (void)co_await std::move(t);
+  w->done();
+}
+
+/// Runs the forward and reverse transfers of `dataset` bytes each to
+/// completion together on `tb` and reports them against the
+/// unidirectional reference rate.
+BidirResult run_both_ways(EndToEndTestbed& tb, std::uint64_t dataset,
+                          double unidirectional_gbps,
+                          sim::Task<rftp::TransferResult> fwd,
+                          sim::Task<rftp::TransferResult> rev) {
+  const sim::SimTime t0 = tb.eng.now();
+  sim::WaitGroup wg(tb.eng);
+  wg.add(2);
+  sim::co_spawn(done_after(std::move(fwd), &wg));
+  sim::co_spawn(done_after(std::move(rev), &wg));
+  run_task(tb.eng, [](sim::WaitGroup& w) -> sim::Task<> {
+    co_await w.wait();
+  }(wg));
+  const sim::SimDuration window = tb.eng.now() - t0;
+
+  BidirResult out;
+  out.unidirectional_gbps = unidirectional_gbps;
+  out.aggregate_gbps = static_cast<double>(2 * dataset) * 8.0 /
+                       static_cast<double>(window);
+  out.improvement = out.aggregate_gbps / out.unidirectional_gbps - 1.0;
+  out.src_usage = tb.src_fe->total_usage();
+  out.window = window;
+  return out;
+}
+
 }  // namespace
 
 E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
-  exp::EndToEndTestbed tb(numa_tuned, dataset);
+  EndToEndTestbed tb(numa_tuned, dataset);
   tb.start();
   numa::Process sp(*tb.src_fe, "rftp-client", numa::NumaBinding::os_default());
   numa::Process rp(*tb.dst_fe, "rftp-server", numa::NumaBinding::os_default());
@@ -153,11 +208,7 @@ E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
   cfg.numa_aware = numa_tuned;
   rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
                          tb.links(), cfg);
-  exp::SanSection* ssan = tb.src_san.get();
-  rftp::FileSource src(*tb.src_fs, *tb.src_file, true,
-                       [ssan](std::uint64_t off, std::uint64_t) {
-                         return ssan->fe_node_of(off);
-                       });
+  auto src = numa_aware_source(*tb.src_fs, *tb.src_file, *tb.src_san);
   rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
   ScopedTrace ts(tb.eng);  // opt-in via E2E_TRACE / E2E_REPORT
@@ -165,7 +216,7 @@ E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
   const sim::SimTime t0 = tb.eng.now();
   const SimCostProbe probe(tb.eng);
   const auto res =
-      exp::run_task(tb.eng, sess.run(src, dst, dataset, &meter));
+      run_task(tb.eng, sess.run(src, dst, dataset, &meter));
   if (auto* tr = ts.get()) tr->note("goodput_gbps", res.goodput_gbps);
   auto out = finish_e2e(tb, res, meter, tb.eng.now() - t0);
   probe.finish(out);
@@ -174,18 +225,15 @@ E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
 }
 
 E2eResult run_e2e_gridftp(std::uint64_t dataset, int processes) {
-  exp::EndToEndTestbed tb(true, dataset);
+  EndToEndTestbed tb(true, dataset);
   tb.start();
   apps::GridFtpConfig cfg;
   cfg.processes = processes;
-  std::vector<apps::GridFtpLink> links;
-  for (std::size_t i = 0; i < 3; ++i)
-    links.push_back({tb.roce_links[i].get(), tb.src_devs[i]->node(),
-                     tb.dst_devs[i]->node()});
+  const auto links = gridftp_links(tb);
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
   const sim::SimTime t0 = tb.eng.now();
   const SimCostProbe probe(tb.eng);
-  const auto res = exp::run_task(
+  const auto res = run_task(
       tb.eng,
       apps::gridftp_transfer({tb.src_fe.get(), tb.src_fs.get(), tb.src_file},
                              {tb.dst_fe.get(), tb.dst_fs.get(), tb.dst_file},
@@ -197,9 +245,9 @@ E2eResult run_e2e_gridftp(std::uint64_t dataset, int processes) {
 
 BidirResult run_e2e_rftp_bidir(std::uint64_t dataset) {
   // Unidirectional reference on an identical testbed.
-  const auto uni = run_e2e_rftp(dataset);
+  const double uni = run_e2e_rftp(dataset).transfer.goodput_gbps;
 
-  exp::EndToEndTestbed tb(true, dataset);
+  EndToEndTestbed tb(true, dataset);
   tb.add_reverse_files();
   tb.start();
   numa::Process sp(*tb.src_fe, "rftp-c", numa::NumaBinding::os_default());
@@ -211,94 +259,39 @@ BidirResult run_e2e_rftp_bidir(std::uint64_t dataset) {
                         tb.links(), cfg);
   rftp::RftpSession rev({&sp2, tb.dst_roce()}, {&rp2, tb.src_roce()},
                         tb.links(), cfg);
-  exp::SanSection* ssan = tb.src_san.get();
-  exp::SanSection* dsan = tb.dst_san.get();
-  rftp::FileSource fsrc(*tb.src_fs, *tb.src_file, true,
-                        [ssan](std::uint64_t off, std::uint64_t) {
-                          return ssan->fe_node_of(off);
-                        });
+  auto fsrc = numa_aware_source(*tb.src_fs, *tb.src_file, *tb.src_san);
   rftp::FileSink fdst(*tb.dst_fs, *tb.dst_file);
-  rftp::FileSource rsrc(*tb.dst_fs, *tb.rev_src_file, true,
-                        [dsan](std::uint64_t off, std::uint64_t) {
-                          return dsan->fe_node_of(off);
-                        });
+  auto rsrc = numa_aware_source(*tb.dst_fs, *tb.rev_src_file, *tb.dst_san);
   rftp::FileSink rdst(*tb.src_fs, *tb.rev_dst_file);
-
-  const sim::SimTime t0 = tb.eng.now();
-  sim::WaitGroup wg(tb.eng);
-  wg.add(2);
-  auto run_one = [](rftp::RftpSession& s, rftp::DataSource& src,
-                    rftp::DataSink& dst, std::uint64_t bytes,
-                    sim::WaitGroup* w) -> sim::Task<> {
-    (void)co_await s.run(src, dst, bytes);
-    w->done();
-  };
-  sim::co_spawn(run_one(fwd, fsrc, fdst, dataset, &wg));
-  sim::co_spawn(run_one(rev, rsrc, rdst, dataset, &wg));
-  exp::run_task(tb.eng, [](sim::WaitGroup& w) -> sim::Task<> {
-    co_await w.wait();
-  }(wg));
-  const sim::SimDuration window = tb.eng.now() - t0;
-
-  BidirResult out;
-  out.unidirectional_gbps = uni.transfer.goodput_gbps;
-  out.aggregate_gbps = static_cast<double>(2 * dataset) * 8.0 /
-                       static_cast<double>(window);
-  out.improvement = out.aggregate_gbps / out.unidirectional_gbps - 1.0;
-  out.src_usage = tb.src_fe->total_usage();
-  out.window = window;
-  return out;
+  return run_both_ways(tb, dataset, uni, fwd.run(fsrc, fdst, dataset),
+                       rev.run(rsrc, rdst, dataset));
 }
 
 BidirResult run_e2e_gridftp_bidir(std::uint64_t dataset, int processes) {
-  const auto uni = run_e2e_gridftp(dataset, processes);
+  const double uni =
+      run_e2e_gridftp(dataset, processes).transfer.goodput_gbps;
 
-  exp::EndToEndTestbed tb(true, dataset);
+  EndToEndTestbed tb(true, dataset);
   tb.add_reverse_files();
   tb.start();
   apps::GridFtpConfig cfg;
   cfg.processes = processes;
-  std::vector<apps::GridFtpLink> fwd_links, rev_links;
-  for (std::size_t i = 0; i < 3; ++i) {
-    fwd_links.push_back({tb.roce_links[i].get(), tb.src_devs[i]->node(),
-                         tb.dst_devs[i]->node()});
-    rev_links.push_back({tb.roce_links[i].get(), tb.dst_devs[i]->node(),
-                         tb.src_devs[i]->node()});
-  }
-
-  const sim::SimTime t0 = tb.eng.now();
-  sim::WaitGroup wg(tb.eng);
-  wg.add(2);
-  auto run_one = [](apps::GridFtpEndpoint s, apps::GridFtpEndpoint d,
-                    std::vector<apps::GridFtpLink> links, std::uint64_t bytes,
-                    apps::GridFtpConfig c, sim::WaitGroup* w) -> sim::Task<> {
-    (void)co_await apps::gridftp_transfer(s, d, links, bytes, c);
-    w->done();
-  };
-  sim::co_spawn(run_one({tb.src_fe.get(), tb.src_fs.get(), tb.src_file},
-                        {tb.dst_fe.get(), tb.dst_fs.get(), tb.dst_file},
-                        fwd_links, dataset, cfg, &wg));
-  sim::co_spawn(run_one({tb.dst_fe.get(), tb.dst_fs.get(), tb.rev_src_file},
-                        {tb.src_fe.get(), tb.src_fs.get(), tb.rev_dst_file},
-                        rev_links, dataset, cfg, &wg));
-  exp::run_task(tb.eng, [](sim::WaitGroup& w) -> sim::Task<> {
-    co_await w.wait();
-  }(wg));
-  const sim::SimDuration window = tb.eng.now() - t0;
-
-  BidirResult out;
-  out.unidirectional_gbps = uni.transfer.goodput_gbps;
-  out.aggregate_gbps = static_cast<double>(2 * dataset) * 8.0 /
-                       static_cast<double>(window);
-  out.improvement = out.aggregate_gbps / out.unidirectional_gbps - 1.0;
-  out.src_usage = tb.src_fe->total_usage();
-  out.window = window;
-  return out;
+  const auto fwd_links = gridftp_links(tb);
+  const auto rev_links = gridftp_links(tb, true);
+  return run_both_ways(
+      tb, dataset, uni,
+      apps::gridftp_transfer({tb.src_fe.get(), tb.src_fs.get(), tb.src_file},
+                             {tb.dst_fe.get(), tb.dst_fs.get(), tb.dst_file},
+                             fwd_links, dataset, cfg),
+      apps::gridftp_transfer(
+          {tb.dst_fe.get(), tb.dst_fs.get(), tb.rev_src_file},
+          {tb.src_fe.get(), tb.src_fs.get(), tb.rev_dst_file}, rev_links,
+          dataset, cfg));
 }
 
 WanPoint run_wan_point(int streams, std::uint64_t block,
                        std::uint64_t dataset, int credits) {
-  exp::WanTestbed tb;
+  WanTestbed tb;
   rftp::RftpConfig cfg;
   cfg.streams = streams;
   cfg.block_bytes = block;
@@ -309,7 +302,7 @@ WanPoint run_wan_point(int streams, std::uint64_t block,
   rftp::MemorySource src(dataset, numa::Placement::on(0));
   rftp::MemorySink dst;
   const sim::SimTime t0 = tb.eng.now();
-  const auto res = exp::run_task(tb.eng, sess.run(src, dst, dataset));
+  const auto res = run_task(tb.eng, sess.run(src, dst, dataset));
   const sim::SimDuration window = tb.eng.now() - t0;
 
   WanPoint out;
@@ -322,4 +315,4 @@ WanPoint run_wan_point(int streams, std::uint64_t block,
   return out;
 }
 
-}  // namespace e2e::bench
+}  // namespace e2e::exp

@@ -27,6 +27,7 @@
 #include "iser/session.hpp"
 #include "rftp/rftp.hpp"
 #include "stats/registry.hpp"
+#include "tcp/connection.hpp"
 #include "testutil.hpp"
 #include "trace/tracer.hpp"
 
@@ -355,8 +356,9 @@ TEST(ChaosTcp, MultiGbWriteWorkloadSurvivesSeededPlan) {
 }
 
 // ---------------------------------------------------------------------------
-// Observer pin: fixed-seed runs of every mode, plus one crash plan, with the
-// tracer and the stats registry installed. The Chrome trace, the stats JSON
+// Observer pin: fixed-seed runs of every mode, plus one crash plan, a lossy
+// TCP connection and an RNR stall, with the tracer and the stats registry
+// installed. The Chrome trace, the stats JSON
 // and the full flight stream are hashed whole, so any change to how the
 // layers instrument themselves must reproduce every byte. The seeds are
 // fixed (not E2E_CHAOS_SEED): these are goldens, not a sweep.
@@ -400,6 +402,56 @@ void expect_pinned(const char* run, const Observers::Captured& got,
   EXPECT_EQ(fnv1a(got.flight), want.flight);
 }
 
+/// A flow-controlled TCP transfer over a lossy connection (loss_rate, no
+/// fault plan): reaches the `loss` probe.
+Observers::Captured run_lossy_tcp() {
+  TinyRig rig;
+  Observers obs(rig.eng);
+  tcp::ConnectionOptions opts;
+  opts.flow_controlled = true;
+  opts.max_window_bytes = 1 << 20;
+  opts.loss_rate = 1e-6;
+  tcp::Connection conn(*rig.a, 0, *rig.b, 0, *rig.link, opts);
+  numa::Thread& tx = rig.proc_a->spawn_thread();
+  numa::Thread& rx = rig.proc_b->spawn_thread();
+  auto sender = [](tcp::Connection& c, numa::Thread& th) -> sim::Task<> {
+    for (int i = 0; i < 32; ++i)
+      co_await c.send(th, numa::Placement::on(0), 256 * 1024);
+    c.shutdown(th);
+  };
+  auto receiver = [](tcp::Connection& c,
+                     numa::Thread& th) -> sim::Task<std::uint64_t> {
+    std::uint64_t total = 0;
+    while (const std::uint64_t n = co_await c.recv(th, numa::Placement::on(0)))
+      total += n;
+    co_return total;
+  };
+  sim::co_spawn(sender(conn, tx));
+  EXPECT_EQ(exp::run_task(rig.eng, receiver(conn, rx)), 32u * 256 * 1024);
+  return obs.capture();
+}
+
+/// A SEND that reaches a QP with no posted receive, which then posts one:
+/// reaches the `rnr` probe.
+Observers::Captured run_rnr_send() {
+  TinyRig rig;
+  Observers obs(rig.eng);
+  rdma::ConnectedPair pair(*rig.dev_a, *rig.dev_b, *rig.link);
+  numa::Thread& tha = rig.proc_a->spawn_thread();
+  numa::Thread& thb = rig.proc_b->spawn_thread();
+  auto sbuf = make_buffer(*rig.a, 4096, 0);
+  auto rbuf = make_buffer(*rig.b, 4096, 0);
+  rdma::SendWr wr;
+  wr.op = rdma::Opcode::kSend;
+  wr.wr_id = 1;
+  wr.local = &sbuf;
+  wr.bytes = 4096;
+  exp::run_task(rig.eng, pair.a().post_send(tha, wr));
+  exp::run_task(rig.eng, pair.b().post_recv(thb, rdma::RecvWr{1, &rbuf}));
+  EXPECT_TRUE(pair.b().recv_cq().try_poll().has_value());
+  return obs.capture();
+}
+
 TEST(ObserverPin, ChaosRunsReproduceTraceStatsAndFlightBytes) {
   constexpr std::uint64_t kSeed = 1;
   const std::uint64_t total = 256ull << 20;
@@ -411,6 +463,8 @@ TEST(ObserverPin, ChaosRunsReproduceTraceStatsAndFlightBytes) {
       total, true);
   const auto iser = run_iser_chaos(kSeed, true);
   const auto tcp = run_tcp_chaos(kSeed, true);
+  const auto lossy = run_lossy_tcp();
+  const auto rnr = run_rnr_send();
   ASSERT_TRUE(rftp.result.complete);
   ASSERT_TRUE(crash.result.complete);
   ASSERT_EQ(crash.result.crashes, 1u);
@@ -427,20 +481,27 @@ TEST(ObserverPin, ChaosRunsReproduceTraceStatsAndFlightBytes) {
   expect_pinned("tcp", tcp.observed,
                 {1063866216643380068ull, 11878131878619925563ull,
                  10519472598810720339ull});
+  expect_pinned("tcp-loss", lossy,
+                {8461095367371574243ull, 3161895616370628984ull,
+                 14893010747210507443ull});
+  expect_pinned("rnr", rnr,
+                {15717633000169746951ull, 12148056315722666643ull,
+                 8625498120249342523ull});
 
   // Which of the 24 instrumented flight codes these runs reach. The other
-  // nine (rnr, loss, command-abandoned, data-loss, data-abort,
-  // session-abandoned, false-suspect, dup-block, checksum-mismatch) need
-  // fault shapes or options these plans do not exercise.
+  // seven (command-abandoned, data-loss, data-abort, session-abandoned,
+  // false-suspect, dup-block, checksum-mismatch) need fault shapes these
+  // runs do not exercise.
   std::set<std::string> reached;
   for (const auto* o : {&rftp.observed, &crash.observed, &iser.observed,
-                        &tcp.observed})
+                        &tcp.observed, &lossy, &rnr})
     reached.merge(flight_codes(o->flight));
   const std::set<std::string> want{
       "block-drained", "block-filled", "block-posted", "command-retry",
-      "crash",         "data-retry",   "grant-retransmit", "qp-kill",
-      "qp-recover",    "resume",       "retransmit",   "rx-drop",
-      "stream-dead",   "wire-failure", "wr-flush"};
+      "crash",         "data-retry",   "grant-retransmit", "loss",
+      "qp-kill",       "qp-recover",   "resume",       "retransmit",
+      "rnr",           "rx-drop",      "stream-dead",  "wire-failure",
+      "wr-flush"};
   EXPECT_EQ(reached, want);
 }
 

@@ -1,14 +1,15 @@
 // Paper-shape regression suite.
 //
-// Each test pins one qualitative claim from the paper's evaluation. These
-// run shortened versions of the bench scenarios; the bench binaries print
-// the full sweeps. If calibration drifts, these tests catch it.
+// Each test pins one qualitative claim from the paper's evaluation. The
+// tests call the same drivers (exp/figures.hpp) the bench binaries print,
+// on shorter runs; the bench binaries print the full sweeps. Only the
+// STREAM peak runs its kernel alone, without the motivating iperf pair.
+// If calibration drifts, these tests catch it.
 #include <gtest/gtest.h>
 
-#include "apps/apps.hpp"
-#include "exp/exp.hpp"
+#include "exp/figures.hpp"
+#include "model/host_profile.hpp"
 #include "numa/stream.hpp"
-#include "rftp/rftp.hpp"
 
 namespace e2e {
 namespace {
@@ -25,103 +26,44 @@ TEST(PaperShapes, StreamTriadPeak) {
 
 // §2.3: NUMA-tuned iperf beats the default scheduler (83.5 -> 91.8 Gbps).
 TEST(PaperShapes, MotivatingIperfNumaGain) {
-  apps::IperfConfig cfg;
-  cfg.bidirectional = true;
-  cfg.sender_buffer_bytes = 256ull << 20;
-  cfg.duration = sim::kSecond;
-
-  exp::FrontEndPair p1;
-  cfg.numa_tuned = false;
-  const auto def = run_iperf(p1.eng, *p1.a, *p1.b, p1.iperf_links(), cfg);
-  exp::FrontEndPair p2;
-  cfg.numa_tuned = true;
-  const auto tuned = run_iperf(p2.eng, *p2.a, *p2.b, p2.iperf_links(), cfg);
-
-  EXPECT_NEAR(def.aggregate_gbps, 83.5, 12.0);
-  EXPECT_NEAR(tuned.aggregate_gbps, 91.8, 12.0);
-  EXPECT_GT(tuned.aggregate_gbps / def.aggregate_gbps, 1.04);
+  const auto def = exp::run_motivating(false, sim::kSecond);
+  const auto tuned = exp::run_motivating(true, sim::kSecond);
+  EXPECT_NEAR(def.iperf_gbps, 83.5, 12.0);
+  EXPECT_NEAR(tuned.iperf_gbps, 91.8, 12.0);
+  EXPECT_GT(tuned.iperf_gbps / def.iperf_gbps, 1.04);
   // copy_user-style routines consume a large share (paper: ~35%).
-  const double copy_share =
-      static_cast<double>(def.usage_a.get(CpuCategory::kCopy)) /
-      static_cast<double>(def.usage_a.total());
-  EXPECT_GT(copy_share, 0.2);
-  EXPECT_LT(copy_share, 0.5);
+  EXPECT_GT(def.copy_share, 0.2);
+  EXPECT_LT(def.copy_share, 0.5);
 }
 
 // Fig. 4: at the same 39 Gbps, RDMA costs ~1.2 cores vs TCP's ~6.4, and
 // the category split matches (zero copy cost, no kernel protocol cost).
 TEST(PaperShapes, Fig4CostBreakdown) {
-  exp::FrontEndPair pair;
-  const std::uint64_t total = 6ull << 30;
-  numa::Process sp(*pair.a, "rftp-s", numa::NumaBinding::bound(0));
-  numa::Process rp(*pair.b, "rftp-r", numa::NumaBinding::bound(0));
-  rftp::RftpConfig cfg;
-  cfg.streams = 1;
-  cfg.block_bytes = 1 << 20;
-  rftp::RftpSession sess({&sp, {pair.a_roce[0].get()}},
-                         {&rp, {pair.b_roce[0].get()}},
-                         {pair.links[0].get()}, cfg);
-  rftp::ZeroSource src(total);
-  rftp::NullSink dst;
-  const auto t0 = pair.eng.now();
-  const auto res = exp::run_task(pair.eng, sess.run(src, dst, total));
-  const auto w = pair.eng.now() - t0;
-
-  EXPECT_NEAR(res.goodput_gbps, 39.0, 2.5);
-  metrics::CpuUsage rdma = pair.a->total_usage();
-  rdma.merge(pair.b->total_usage());
+  const auto rftp = exp::run_fig4_rftp(6ull << 30);
+  const auto& rdma = rftp.both_ends;
+  const auto w = rftp.window;
+  EXPECT_NEAR(rftp.gbps, 39.0, 2.5);
   EXPECT_NEAR(rdma.total_percent(w), 122.0, 30.0);
   EXPECT_NEAR(rdma.percent(CpuCategory::kLoad, w), 70.0, 12.0);
   EXPECT_EQ(rdma.get(CpuCategory::kCopy), 0u);        // zero-copy
   EXPECT_EQ(rdma.get(CpuCategory::kKernelProto), 0u);  // kernel bypass
 
   // TCP at the same rate.
-  exp::FrontEndPair pair2;
-  apps::IperfConfig icfg;
-  icfg.numa_tuned = true;
-  icfg.streams_per_link = 4;
-  icfg.chunk_bytes = 1 << 20;
-  icfg.sender_buffer_bytes = 256ull << 20;
-  icfg.duration = sim::kSecond;
-  std::vector<apps::IperfLink> one = {pair2.iperf_links()[0]};
-  const auto tcp = run_iperf(pair2.eng, *pair2.a, *pair2.b, one, icfg);
-  EXPECT_NEAR(tcp.aggregate_gbps, 39.0, 4.0);
-  metrics::CpuUsage tcpu = tcp.usage_a;
-  tcpu.merge(tcp.usage_b);
+  const auto tcp = exp::run_fig4_tcp(sim::kSecond);
+  const auto& tcpu = tcp.both_ends;
+  EXPECT_NEAR(tcp.gbps, 39.0, 4.0);
   // TCP needs several times the CPU of RDMA (paper: 642% vs 122%).
-  EXPECT_GT(tcpu.total_percent(icfg.duration),
-            3.5 * rdma.total_percent(w));
-  EXPECT_GT(tcpu.percent(CpuCategory::kKernelProto, icfg.duration), 200.0);
-  EXPECT_GT(tcpu.percent(CpuCategory::kCopy, icfg.duration), 120.0);
+  EXPECT_GT(tcpu.total_percent(tcp.window), 3.5 * rdma.total_percent(w));
+  EXPECT_GT(tcpu.percent(CpuCategory::kKernelProto, tcp.window), 200.0);
+  EXPECT_GT(tcpu.percent(CpuCategory::kCopy, tcp.window), 120.0);
 }
 
-struct IserResult {
-  double gbps;
-  double cpu_pct;
-};
-
-IserResult run_iser(bool tuned, bool write) {
-  exp::SanConfig scfg;
-  scfg.numa_tuned = tuned;
-  scfg.lun_bytes = 2ull << 30;
-  exp::SanTestbed tb(scfg);
-  tb.start();
-  apps::FioOptions opts;
-  opts.block_bytes = 4ull << 20;
-  opts.write = write;
-  // Long enough for the untuned write path's interconnect queueing to
-  // reach steady state (the transient first second is too optimistic).
-  opts.duration = 2 * sim::kSecond;
-  const auto r = tb.run_fio(opts, 4);
-  return {r.gbps, r.target_cpu_pct};
-}
-
-// Fig. 7/8: the iSER orderings.
+// Figs. 7/8: the iSER orderings at 4 MiB blocks.
 TEST(PaperShapes, Fig7IserBandwidthOrdering) {
-  const auto tuned_read = run_iser(true, false);
-  const auto tuned_write = run_iser(true, true);
-  const auto def_read = run_iser(false, false);
-  const auto def_write = run_iser(false, true);
+  const auto tuned_read = exp::run_iser_point(true, false, 4ull << 20);
+  const auto tuned_write = exp::run_iser_point(true, true, 4ull << 20);
+  const auto def_read = exp::run_iser_point(false, false, 4ull << 20);
+  const auto def_write = exp::run_iser_point(false, true, 4ull << 20);
 
   // Reads (RDMA Write) outperform writes (RDMA Read) when tuned.
   EXPECT_GT(tuned_read.gbps, tuned_write.gbps);
@@ -133,109 +75,88 @@ TEST(PaperShapes, Fig7IserBandwidthOrdering) {
 }
 
 TEST(PaperShapes, Fig8IserCpuOrdering) {
-  const auto tuned_write = run_iser(true, true);
-  const auto def_write = run_iser(false, true);
-  const auto tuned_read = run_iser(true, false);
-  const auto def_read = run_iser(false, false);
+  const auto tuned_write = exp::run_iser_point(true, true, 4ull << 20);
+  const auto def_write = exp::run_iser_point(false, true, 4ull << 20);
+  const auto tuned_read = exp::run_iser_point(true, false, 4ull << 20);
+  const auto def_read = exp::run_iser_point(false, false, 4ull << 20);
   // Paper: default binding costs ~3x CPU for writes; reads see a far
   // smaller penalty.
-  EXPECT_GT(def_write.cpu_pct, 2.0 * tuned_write.cpu_pct);
-  EXPECT_LT(def_read.cpu_pct, 1.7 * tuned_read.cpu_pct);
+  EXPECT_GT(def_write.target_cpu_pct, 2.0 * tuned_write.target_cpu_pct);
+  EXPECT_LT(def_read.target_cpu_pct, 1.7 * tuned_read.target_cpu_pct);
 }
 
 // Fig. 9/10: end-to-end RFTP ~91 Gbps (~96% of the 94.8 path limit);
 // GridFTP ~29 Gbps with a kernel-heavy profile.
 TEST(PaperShapes, Fig9EndToEndThroughput) {
-  exp::EndToEndTestbed tb(true, 12ull << 30);
-  tb.start();
-  numa::Process sp(*tb.src_fe, "rftp-c", numa::NumaBinding::os_default());
-  numa::Process rp(*tb.dst_fe, "rftp-s", numa::NumaBinding::os_default());
-  rftp::RftpConfig cfg;
-  rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
-                         tb.links(), cfg);
-  rftp::FileSource src(*tb.src_fs, *tb.src_file);
-  rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
-  const auto rftp_res =
-      exp::run_task(tb.eng, sess.run(src, dst, tb.dataset_bytes));
-  EXPECT_NEAR(rftp_res.goodput_gbps, 91.0, 8.0);
-
-  exp::EndToEndTestbed tb2(true, 4ull << 30);
-  tb2.start();
-  apps::GridFtpConfig gcfg;
-  std::vector<apps::GridFtpLink> glinks;
-  for (std::size_t i = 0; i < 3; ++i)
-    glinks.push_back({tb2.roce_links[i].get(), tb2.src_devs[i]->node(),
-                      tb2.dst_devs[i]->node()});
-  const auto grid = exp::run_task(
-      tb2.eng,
-      apps::gridftp_transfer({tb2.src_fe.get(), tb2.src_fs.get(),
-                              tb2.src_file},
-                             {tb2.dst_fe.get(), tb2.dst_fs.get(),
-                              tb2.dst_file},
-                             glinks, tb2.dataset_bytes, gcfg));
-  EXPECT_NEAR(grid.goodput_gbps, 29.0, 7.0);
+  const auto rftp = exp::run_e2e_rftp(12ull << 30);
+  const auto grid = exp::run_e2e_gridftp(4ull << 30);
+  EXPECT_NEAR(rftp.transfer.goodput_gbps, 91.0, 8.0);
+  EXPECT_NEAR(grid.transfer.goodput_gbps, 29.0, 7.0);
   // Paper: ~3x RFTP advantage.
-  EXPECT_GT(rftp_res.goodput_gbps / grid.goodput_gbps, 2.3);
+  EXPECT_GT(rftp.transfer.goodput_gbps / grid.transfer.goodput_gbps, 2.3);
   // Fig. 10: GridFTP's sys CPU dominates its user CPU.
-  const auto gu = tb2.src_fe->total_usage();
+  const auto& gu = grid.src_usage;
   EXPECT_GT(gu.get(CpuCategory::kKernelProto), gu.get(CpuCategory::kUserProto));
+}
+
+// Fig. 10: GridFTP's sys CPU (kernel protocol + copies) makes up nearly
+// all of its protocol CPU; RFTP is zero-copy end to end.
+TEST(PaperShapes, Fig10EndToEndCpuBreakdown) {
+  const auto grid = exp::run_e2e_gridftp(1ull << 30);
+  const auto& gu = grid.src_usage;
+  const double sys = static_cast<double>(gu.get(CpuCategory::kKernelProto) +
+                                         gu.get(CpuCategory::kCopy));
+  const double user = static_cast<double>(gu.get(CpuCategory::kUserProto));
+  EXPECT_GE(sys / (sys + user), 0.80);
+  const auto rftp = exp::run_e2e_rftp(4ull << 30);
+  EXPECT_EQ(rftp.src_usage.get(CpuCategory::kCopy), 0u);
+  EXPECT_EQ(rftp.dst_usage.get(CpuCategory::kCopy), 0u);
+}
+
+// Fig. 11: RFTP gains more absolute bandwidth from the second direction
+// than GridFTP, which is CPU-capped. (The paper's +83% RFTP gain is a
+// known model limit, EXPERIMENTS.md, and is not pinned.) The driver's
+// bidirectional window runs until the engine drains, which is the next
+// 500 ms tick of the RFTP liveness watchdog, so RFTP needs a few seconds
+// of transfer before its aggregate clears its unidirectional rate (at
+// 4 GiB a direction it reads 68 Gbps).
+TEST(PaperShapes, Fig11BidirGain) {
+  const auto rftp = exp::run_e2e_rftp_bidir(16ull << 30);
+  const auto grid = exp::run_e2e_gridftp_bidir(512ull << 20);
+  const double rftp_gain = rftp.aggregate_gbps - rftp.unidirectional_gbps;
+  const double grid_gain = grid.aggregate_gbps - grid.unidirectional_gbps;
+  EXPECT_GT(grid_gain, 0.0);
+  EXPECT_GT(rftp_gain, grid_gain);
+}
+
+// Fig. 12: per aggregate gigabit, bidirectional GridFTP burns far more CPU
+// than RFTP. CPU% and Gbps share the window, so the ratio does not depend
+// on how long the run is.
+TEST(PaperShapes, Fig12BidirCpuPerGbps) {
+  const auto rftp = exp::run_e2e_rftp_bidir(2ull << 30);
+  const auto grid = exp::run_e2e_gridftp_bidir(512ull << 20);
+  const double grid_per_gbps =
+      grid.src_usage.total_percent(grid.window) / grid.aggregate_gbps;
+  const double rftp_per_gbps =
+      rftp.src_usage.total_percent(rftp.window) / rftp.aggregate_gbps;
+  EXPECT_GT(grid_per_gbps, 10.0 * rftp_per_gbps);
 }
 
 // Fig. 13: WAN RFTP reaches ~97% utilization with enough streams and
 // large blocks, and is window-limited with few/small ones.
 TEST(PaperShapes, Fig13WanBandwidth) {
-  {
-    exp::WanTestbed tb;
-    rftp::RftpConfig cfg;
-    cfg.streams = 4;
-    cfg.block_bytes = 8ull << 20;
-    cfg.credits_per_stream = 16;
-    rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
-                           {tb.b_proc.get(), {tb.b_dev.get()}},
-                           {tb.link.get()}, cfg);
-    rftp::MemorySource src(12ull << 30, numa::Placement::on(0));
-    rftp::MemorySink dst;
-    const auto r = exp::run_task(tb.eng, sess.run(src, dst, 12ull << 30));
-    EXPECT_GT(r.goodput_gbps, 0.95 * 40.0);
-  }
-  {
-    exp::WanTestbed tb;
-    rftp::RftpConfig cfg;
-    cfg.streams = 1;
-    cfg.block_bytes = 1 << 20;
-    cfg.credits_per_stream = 16;
-    rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
-                           {tb.b_proc.get(), {tb.b_dev.get()}},
-                           {tb.link.get()}, cfg);
-    rftp::MemorySource src(1ull << 30, numa::Placement::on(0));
-    rftp::MemorySink dst;
-    const auto r = exp::run_task(tb.eng, sess.run(src, dst, 1ull << 30));
-    // Window-bound: ~16 MiB / 95 ms ~= 1.4 Gbps.
-    EXPECT_LT(r.goodput_gbps, 3.0);
-  }
+  EXPECT_GT(exp::run_wan_point(4, 8ull << 20, 12ull << 30).gbps, 0.95 * 40.0);
+  // Window-bound: ~16 MiB / 95 ms ~= 1.4 Gbps.
+  EXPECT_LT(exp::run_wan_point(1, 1ull << 20, 1ull << 30).gbps, 3.0);
 }
 
 // Fig. 14: WAN CPU per gigabit falls as block size grows.
 TEST(PaperShapes, Fig14WanCpuFallsWithBlockSize) {
-  auto run_wan = [](std::uint64_t block) {
-    exp::WanTestbed tb;
-    rftp::RftpConfig cfg;
-    cfg.streams = 4;
-    cfg.block_bytes = block;
-    cfg.credits_per_stream = 16;
-    rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
-                           {tb.b_proc.get(), {tb.b_dev.get()}},
-                           {tb.link.get()}, cfg);
-    rftp::MemorySource src(6ull << 30, numa::Placement::on(0));
-    rftp::MemorySink dst;
-    const auto t0 = tb.eng.now();
-    const auto r = exp::run_task(tb.eng, sess.run(src, dst, 6ull << 30));
-    const auto w = tb.eng.now() - t0;
-    const double cpu =
-        tb.a->total_usage().percent(CpuCategory::kUserProto, w);
-    return cpu / r.goodput_gbps;  // CPU% per Gbps
+  auto cpu_per_gbps = [](std::uint64_t block) {
+    const auto p = exp::run_wan_point(4, block, 6ull << 30);
+    return p.sender_cpu_pct / p.gbps;
   };
-  EXPECT_GT(run_wan(1 << 20), 1.5 * run_wan(8 << 20));
+  EXPECT_GT(cpu_per_gbps(1 << 20), 1.5 * cpu_per_gbps(8 << 20));
 }
 
 }  // namespace
