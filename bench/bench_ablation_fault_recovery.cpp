@@ -15,7 +15,6 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "exp/figures.hpp"
 #include "exp/runner.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -25,6 +24,7 @@
 #include "iser/session.hpp"
 #include "metrics/table.hpp"
 #include "model/host_profile.hpp"
+#include "stats/stats.hpp"
 
 namespace e2e::bench {
 namespace {
@@ -112,7 +112,8 @@ sim::Task<> io_job(iscsi::Initiator& init, numa::Thread& th,
 
 Result run_case(bool use_tcp, const Intensity& lvl) {
   sim::Engine eng;
-  exp::ScopedStats ss(eng);  // command-latency percentiles ride on the registry
+  stats::Registry stats(eng);  // command-latency percentiles ride on it
+  stats.install();
   numa::Host fe(eng, model::front_end_lan_host("fe"));
   numa::Host be(eng, model::back_end_lan_host("be"));
   auto link = net::make_ib_lan(eng, "ib");
@@ -210,7 +211,7 @@ Result run_case(bool use_tcp, const Intensity& lvl) {
   r.command_retries = initiator.command_retries();
   r.command_failures = initiator.command_failures();
   if (rdma_sess) r.recoveries = rdma_sess->recoveries();
-  r.cmd_hist = ss.merged("cmd_ns");
+  r.cmd_hist = stats.merged_histogram("cmd_ns");
   eng.run();
   return r;
 }

@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,25 +95,13 @@ RunOut run_case(bool wan, std::uint64_t bytes, const std::string& plan_spec,
 
   rftp::RftpConfig cfg;
   cfg.streams = wan ? 4 : 1;
-  std::optional<fault::FaultPlan> plan;
-  if (!plan_spec.empty()) plan = fault::FaultPlan::parse(plan_spec);
   cfg.fast_forward = fast_forward;
-  if (fast_forward) {
-    const sim::SimDuration slack =
-        20 * wire->rtt() + 100 * sim::kMillisecond;
-    cfg.ff_quiet_after = plan ? plan->quiet_after(slack) : 0;
-  }
   rftp::RftpSession sess(send, recv, {wire}, cfg);
   std::unique_ptr<fault::FaultInjector> inj;
-  if (plan) {
-    inj = std::make_unique<fault::FaultInjector>(*eng, std::move(*plan));
-    inj->attach(*wire);
-    const int streams = cfg.streams;
-    inj->set_qp_kill_handler(
-        [&sess, streams](int qp) { sess.kill_stream(qp % streams); });
-    inj->set_crash_handler([&sess](int host, sim::SimDuration down) {
-      sess.crash_host(host, down);
-    });
+  if (!plan_spec.empty()) {
+    inj = std::make_unique<fault::FaultInjector>(
+        *eng, fault::FaultPlan::parse(plan_spec));
+    sess.attach(*inj);
     inj->arm();
   }
   rftp::MemorySource src(bytes, numa::Placement::on(0));

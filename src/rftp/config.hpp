@@ -40,13 +40,10 @@ struct RftpConfig {
   /// reaches a verified steady state, collapse the remaining bulk phase
   /// into one closed-form span instead of simulating every block. Final
   /// metrics are bit-identical to the event-exact run (golden-tested);
-  /// default off. Ignored on sharded (Cluster) engines.
+  /// default off. Ignored on sharded (Cluster) engines. Under a fault plan
+  /// (RftpSession::attach) the detector waits until the plan has gone
+  /// quiet, so every scripted fault fires on an event-exact timeline.
   bool fast_forward = false;
-  /// Earliest modeled time at which the fast-forward detector may engage.
-  /// Callers with a fault plan set this to FaultPlan::quiet_after(slack) so
-  /// every scripted fault fires on an event-exact timeline; kTimeInfinity
-  /// (a terminal crash in the plan) disables fast-forward entirely.
-  sim::SimTime ff_quiet_after = 0;
 };
 
 struct TransferResult {

@@ -49,7 +49,7 @@ bool FastForward::quiet_ok() const noexcept {
   // failover pending, no grant-retry pacing delay waiting to fire against
   // a collapsed-away work-point.
   return trace::of(eng_) == nullptr &&
-         eng_.virtual_now() >= sess_.cfg_.ff_quiet_after && !sess_.crashed_ &&
+         eng_.virtual_now() >= sess_.ff_quiet_after_ && !sess_.crashed_ &&
          !sess_.resume_pending_ && !sess_.transfer_failed_ &&
          sess_.alive_streams_ == sess_.cfg_.streams &&
          sess_.ff_grant_retries_pending_ == 0;

@@ -42,9 +42,9 @@
 //
 // Quiet guards (checked at arm and re-checked at collapse): no tracer
 // installed (traces are exempt from equivalence and would diverge), no
-// Cluster shard, virtual time past cfg.ff_quiet_after (every scripted fault
-// has fired and settled), no crash/resume/failover in progress, and no
-// grant-retry pacing delay pending.
+// Cluster shard, virtual time past the attached fault plan's quiet horizon
+// (every scripted fault has fired and settled), no crash/resume/failover
+// in progress, and no grant-retry pacing delay pending.
 #pragma once
 
 #include <cstddef>

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "check/audit.hpp"
+#include "fault/injector.hpp"
 #include "fault/integrity.hpp"
 #include "mem/msg_pool.hpp"
 #include "rftp/fast_forward.hpp"
@@ -15,6 +16,13 @@ namespace e2e::rftp {
 namespace {
 
 constexpr std::uint64_t kTinyBufBytes = 256;
+
+/// Settling time fast-forward waits out after a fault plan's last event:
+/// grant-retry pacing is 2 RTT, so 20 RTT plus a fixed margin buries any
+/// recovery transient before the detector may arm.
+sim::SimDuration ff_settle_slack(sim::SimDuration max_rtt) {
+  return 20 * max_rtt + 100 * sim::kMillisecond;
+}
 
 /// Track base of one of a stream's per-task lanes: "s<stream>/<lane>".
 std::string lane_name(int stream, std::string_view lane) {
@@ -129,6 +137,19 @@ RftpSession::RftpSession(EndpointConfig sender, EndpointConfig receiver,
 
 RftpSession::~RftpSession() = default;
 
+void RftpSession::attach(fault::FaultInjector& inj) {
+  sim::SimDuration max_rtt = 0;
+  for (net::Link* l : links_) {
+    inj.attach(*l);
+    max_rtt = std::max(max_rtt, l->rtt());
+  }
+  inj.set_qp_kill_handler(
+      [this](int qp) { kill_stream(qp % cfg_.streams); });
+  inj.set_crash_handler(
+      [this](int host, sim::SimDuration down) { crash_host(host, down); });
+  ff_quiet_after_ = inj.plan().quiet_after(ff_settle_slack(max_rtt));
+}
+
 numa::Thread& RftpSession::spawn(numa::Process& proc,
                                  const rdma::Device& nic) {
   if (cfg_.numa_aware) {
@@ -230,7 +251,7 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
   // disables it outright.
   ff_.reset();
   if (cfg_.fast_forward && eng_.cluster() == nullptr &&
-      cfg_.ff_quiet_after < sim::kTimeInfinity)
+      ff_quiet_after_ < sim::kTimeInfinity)
     ff_ = std::make_unique<FastForward>(*this);
 
   for (auto& s : streams_) co_await setup_stream(*s);

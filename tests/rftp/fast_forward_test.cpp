@@ -132,25 +132,14 @@ Outcome run_once(const Case& c, bool fast_forward) {
   cfg.streams = 2;
   cfg.credits_per_stream = 8;
   cfg.block_bytes = 256 * 1024;
-  auto plan = make_plan(c, cfg.streams);
   cfg.fast_forward = fast_forward;
-  if (fast_forward) {
-    const sim::SimDuration slack =
-        20 * rig.link->rtt() + 100 * sim::kMillisecond;
-    cfg.ff_quiet_after = plan ? plan->quiet_after(slack) : 0;
-  }
   RftpSession sess({rig.proc_a.get(), {rig.dev_a.get()}},
                    {rig.proc_b.get(), {rig.dev_b.get()}}, {rig.link.get()},
                    cfg);
   std::unique_ptr<fault::FaultInjector> inj;
-  if (plan) {
+  if (auto plan = make_plan(c, cfg.streams)) {
     inj = std::make_unique<fault::FaultInjector>(rig.eng, std::move(*plan));
-    inj->attach(*rig.link);
-    inj->set_qp_kill_handler(
-        [&](int qp) { sess.kill_stream(qp % cfg.streams); });
-    inj->set_crash_handler([&](int host, sim::SimDuration down) {
-      sess.crash_host(host, down);
-    });
+    sess.attach(*inj);
     inj->arm();
   }
   MemorySource src(c.total_bytes, numa::Placement::on(0));

@@ -5,21 +5,24 @@
 //   e2e_transfer_sim wan --streams 4 --block 8m    # ANI 95 ms loop
 //   e2e_transfer_sim san --write --numa 0          # iSER fio back-end
 //   e2e_transfer_sim motivating                    # Sec 2.3 iperf study
+//   e2e_transfer_sim fleet --pairs 8 --shards 4    # sharded RFTP pairs
+//   e2e_transfer_sim kv --pairs 4 --ops 2000       # rpc key-value tier
 //
-// Options: --gib N, --block N[k|m|g], --streams N, --credits N, --numa 0|1,
-//          --write, --duration SECONDS, --files N (multi-file e2e),
-//          --trace FILE (Perfetto JSON), --report FILE (run report),
-//          --fault-plan SPEC (scripted faults), --fault-seed N (random plan)
+// Options: see usage(). kFlags lists the scenarios that read each flag;
+// any other scenario exits 2 on it instead of ignoring it.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.hpp"
@@ -40,8 +43,23 @@ using namespace e2e;
 
 namespace {
 
+/// The scenarios, one bit each, so a flag can name the ones that read it.
+enum Scenario : unsigned {
+  kQuick = 1u << 0,
+  kE2e = 1u << 1,
+  kWan = 1u << 2,
+  kSan = 1u << 3,
+  kMotivating = 1u << 4,
+  kFleet = 1u << 5,
+  kKv = 1u << 6,
+};
+constexpr unsigned kTransfer = kQuick | kE2e | kWan;  // one RFTP session
+constexpr unsigned kCluster = kFleet | kKv;
+constexpr unsigned kAll = kTransfer | kSan | kMotivating | kCluster;
+
 struct Options {
   std::string scenario;
+  Scenario bit = kQuick;
   std::uint64_t gib = 16;
   std::uint64_t block = 4ull << 20;
   int streams = 0;  // 0 = scenario default
@@ -125,111 +143,170 @@ struct Options {
       "  --stats-out FILE write the stats dump (.csv -> CSV, else JSON)\n"
       "  --fast-forward 0|1  collapse proven steady-state bulk phases into\n"
       "                   closed-form spans (default 0 = event-exact; final\n"
-      "                   metrics are identical either way; rftp transfer\n"
-      "                   scenarios only, inert for san/motivating;\n"
-      "                   fleet/kv reject 1)\n",
+      "                   metrics are identical either way; 1 only for\n"
+      "                   quick/e2e/wan, 0 accepted everywhere)\n"
+      "A scenario exits 2 on any flag it does not read.\n",
       stderr);
   std::exit(2);
 }
+
+// Range ceilings are sanity bounds (catch pasted garbage), not tuning
+// limits: 1 EiB datasets, 4 Ki streams, a day of fio.
+constexpr std::uint64_t kMaxGib = 1ull << 30;
+
+/// One command-line flag: the scenarios that read it and how its value
+/// (nullptr for a bare switch) lands in Options.
+struct Flag {
+  const char* name;
+  unsigned read_by;
+  bool takes_value;
+  void (*set)(Options& o, const char* flag, const char* value);
+};
+
+constexpr Flag kFlags[] = {
+    {"--gib", kTransfer | kCluster, true, [](auto& o, auto f, auto v) {
+       o.gib = cli::parse_u64(usage, f, v, 1, kMaxGib);
+     }},
+    {"--block", kTransfer | kSan | kFleet, true, [](auto& o, auto f, auto v) {
+       o.block = cli::parse_size(usage, f, v, 512, 1ull << 30);
+     }},
+    {"--streams", kTransfer | kFleet, true, [](auto& o, auto f, auto v) {
+       o.streams = cli::parse_int(usage, f, v, 1, 4096);
+     }},
+    {"--credits", kTransfer | kFleet, true, [](auto& o, auto f, auto v) {
+       o.credits = cli::parse_int(usage, f, v, 1, 65536);
+     }},
+    {"--numa", kTransfer | kSan, true,
+     [](auto& o, auto f, auto v) { o.numa = cli::parse_bool01(usage, f, v); }},
+    {"--write", kSan, false, [](auto& o, auto, auto) { o.write = true; }},
+    {"--duration", kSan, true, [](auto& o, auto f, auto v) {
+       o.duration_s = cli::parse_double(usage, f, v, 1e-3, 86400.0);
+     }},
+    {"--files", kE2e, true, [](auto& o, auto f, auto v) {
+       o.files = cli::parse_int(usage, f, v, 1, 1 << 20);
+     }},
+    {"--trace", kAll & ~kKv, true,
+     [](auto& o, auto, auto v) { o.trace_file = v; }},
+    {"--report", kTransfer | kSan | kMotivating, true,
+     [](auto& o, auto, auto v) { o.report_file = v; }},
+    {"--fault-plan", kTransfer, true,
+     [](auto& o, auto, auto v) { o.fault_plan = v; }},
+    {"--fault-seed", kTransfer | kCluster, true, [](auto& o, auto f, auto v) {
+       o.fault_seed = cli::parse_u64(usage, f, v, 0, ~std::uint64_t{0});
+     }},
+    {"--checkpoint", kTransfer | kFleet, true, [](auto& o, auto f, auto v) {
+       o.checkpoint = cli::parse_int(usage, f, v, 0, 1 << 30);
+     }},
+    {"--pairs", kCluster, true, [](auto& o, auto f, auto v) {
+       o.pairs = cli::parse_int(usage, f, v, 1, 65536);
+     }},
+    {"--shards", kCluster, true, [](auto& o, auto f, auto v) {
+       o.shards = cli::parse_int(usage, f, v, 1, 65536);
+     }},
+    {"--keys", kKv, true, [](auto& o, auto f, auto v) {
+       o.keys = cli::parse_u64(usage, f, v, 1, 1ull << 30);
+     }},
+    {"--ops", kKv, true, [](auto& o, auto f, auto v) {
+       o.ops = cli::parse_u64(usage, f, v, 1, 1ull << 40);
+     }},
+    {"--value-size", kKv, true, [](auto& o, auto f, auto v) {
+       o.value_size = cli::parse_size(usage, f, v, 1, 16ull << 20);
+     }},
+    {"--kv-shards", kKv, true, [](auto& o, auto f, auto v) {
+       o.kv_shards = cli::parse_int(usage, f, v, 1, 64);
+     }},
+    {"--depth", kKv, true, [](auto& o, auto f, auto v) {
+       o.depth = cli::parse_int(usage, f, v, 1, 1024);
+     }},
+    {"--get-mode", kKv, true, [](auto& o, auto f, auto v) {
+       o.get_mode = v;
+       if (o.get_mode != "rpc" && o.get_mode != "read") {
+         std::fprintf(stderr, "bad %s %s: must be rpc or read\n", f, v);
+         usage();
+       }
+     }},
+    {"--zipf", kKv, true, [](auto& o, auto f, auto v) {
+       o.zipf = cli::parse_double(usage, f, v, 0.0, 16.0);
+     }},
+    {"--put-frac", kKv, true, [](auto& o, auto f, auto v) {
+       o.put_frac = cli::parse_double(usage, f, v, 0.0, 1.0);
+     }},
+    {"--remote-every", kKv, true, [](auto& o, auto f, auto v) {
+       o.remote_every = cli::parse_int(usage, f, v, 0, 1 << 20);
+     }},
+    {"--seed", kKv, true, [](auto& o, auto f, auto v) {
+       o.seed = cli::parse_u64(usage, f, v, 0, ~std::uint64_t{0});
+     }},
+    {"--audit", kAll, true,
+     [](auto& o, auto f, auto v) { o.audit = cli::parse_bool01(usage, f, v); }},
+    {"--stats", kAll, true,
+     [](auto& o, auto f, auto v) { o.stats = cli::parse_bool01(usage, f, v); }},
+    {"--stats-out", kAll, true, [](auto& o, auto, auto v) { o.stats_out = v; }},
+    // parse() checks only 1 against read_by: 0 is the default everywhere.
+    {"--fast-forward", kTransfer, true, [](auto& o, auto f, auto v) {
+       o.fast_forward = cli::parse_bool01(usage, f, v);
+     }},
+};
 
 Options parse(int argc, char** argv) {
   if (argc < 2) usage();
   Options o;
   o.scenario = argv[1];
-  // Range ceilings are sanity bounds (catch pasted garbage), not tuning
-  // limits: 1 EiB datasets, 4 Ki streams, a day of fio.
-  constexpr std::uint64_t kMaxGib = 1ull << 30;
+  constexpr std::pair<const char*, Scenario> kNames[] = {
+      {"quick", kQuick}, {"e2e", kE2e},     {"wan", kWan},
+      {"san", kSan},     {"motivating", kMotivating},
+      {"fleet", kFleet}, {"kv", kKv}};
+  const auto* named = std::find_if(
+      std::begin(kNames), std::end(kNames),
+      [&](const auto& n) { return o.scenario == n.first; });
+  if (named == std::end(kNames)) usage();
+  o.bit = named->second;
+  std::vector<const Flag*> given;
   for (int i = 2; i < argc; ++i) {
-    auto need = [&](const char* flag) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        usage();
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--gib"))
-      o.gib = cli::parse_u64(usage, "--gib", need("--gib"), 1, kMaxGib);
-    else if (!std::strcmp(argv[i], "--block"))
-      o.block = cli::parse_size(usage, "--block", need("--block"), 512,
-                                1ull << 30);
-    else if (!std::strcmp(argv[i], "--streams"))
-      o.streams = cli::parse_int(usage, "--streams", need("--streams"), 1,
-                                 4096);
-    else if (!std::strcmp(argv[i], "--credits"))
-      o.credits = cli::parse_int(usage, "--credits", need("--credits"), 1,
-                                 65536);
-    else if (!std::strcmp(argv[i], "--numa"))
-      o.numa = cli::parse_bool01(usage, "--numa", need("--numa"));
-    else if (!std::strcmp(argv[i], "--write"))
-      o.write = true;
-    else if (!std::strcmp(argv[i], "--duration"))
-      o.duration_s = cli::parse_double(usage, "--duration",
-                                       need("--duration"), 1e-3, 86400.0);
-    else if (!std::strcmp(argv[i], "--files"))
-      o.files = cli::parse_int(usage, "--files", need("--files"), 1, 1 << 20);
-    else if (!std::strcmp(argv[i], "--trace"))
-      o.trace_file = need("--trace");
-    else if (!std::strcmp(argv[i], "--report"))
-      o.report_file = need("--report");
-    else if (!std::strcmp(argv[i], "--fault-plan"))
-      o.fault_plan = need("--fault-plan");
-    else if (!std::strcmp(argv[i], "--fault-seed"))
-      o.fault_seed = cli::parse_u64(usage, "--fault-seed",
-                                    need("--fault-seed"), 0,
-                                    ~std::uint64_t{0});
-    else if (!std::strcmp(argv[i], "--checkpoint"))
-      o.checkpoint = cli::parse_int(usage, "--checkpoint",
-                                    need("--checkpoint"), 0, 1 << 30);
-    else if (!std::strcmp(argv[i], "--pairs"))
-      o.pairs = cli::parse_int(usage, "--pairs", need("--pairs"), 1, 65536);
-    else if (!std::strcmp(argv[i], "--shards"))
-      o.shards = cli::parse_int(usage, "--shards", need("--shards"), 1,
-                                65536);
-    else if (!std::strcmp(argv[i], "--keys"))
-      o.keys = cli::parse_u64(usage, "--keys", need("--keys"), 1, 1ull << 30);
-    else if (!std::strcmp(argv[i], "--ops"))
-      o.ops = cli::parse_u64(usage, "--ops", need("--ops"), 1, 1ull << 40);
-    else if (!std::strcmp(argv[i], "--value-size"))
-      o.value_size = cli::parse_size(usage, "--value-size",
-                                     need("--value-size"), 1, 16ull << 20);
-    else if (!std::strcmp(argv[i], "--kv-shards"))
-      o.kv_shards = cli::parse_int(usage, "--kv-shards", need("--kv-shards"),
-                                   1, 64);
-    else if (!std::strcmp(argv[i], "--depth"))
-      o.depth = cli::parse_int(usage, "--depth", need("--depth"), 1, 1024);
-    else if (!std::strcmp(argv[i], "--get-mode")) {
-      o.get_mode = need("--get-mode");
-      if (o.get_mode != "rpc" && o.get_mode != "read") {
-        std::fprintf(stderr, "bad --get-mode %s: must be rpc or read\n",
-                     o.get_mode.c_str());
-        usage();
-      }
-    } else if (!std::strcmp(argv[i], "--zipf"))
-      o.zipf = cli::parse_double(usage, "--zipf", need("--zipf"), 0.0, 16.0);
-    else if (!std::strcmp(argv[i], "--put-frac"))
-      o.put_frac = cli::parse_double(usage, "--put-frac", need("--put-frac"),
-                                     0.0, 1.0);
-    else if (!std::strcmp(argv[i], "--remote-every"))
-      o.remote_every = cli::parse_int(usage, "--remote-every",
-                                      need("--remote-every"), 0, 1 << 20);
-    else if (!std::strcmp(argv[i], "--seed"))
-      o.seed = cli::parse_u64(usage, "--seed", need("--seed"), 0,
-                              ~std::uint64_t{0});
-    else if (!std::strcmp(argv[i], "--audit"))
-      o.audit = cli::parse_bool01(usage, "--audit", need("--audit"));
-    else if (!std::strcmp(argv[i], "--stats"))
-      o.stats = cli::parse_bool01(usage, "--stats", need("--stats"));
-    else if (!std::strcmp(argv[i], "--stats-out"))
-      o.stats_out = need("--stats-out");
-    else if (!std::strcmp(argv[i], "--fast-forward"))
-      o.fast_forward =
-          cli::parse_bool01(usage, "--fast-forward", need("--fast-forward"));
-    else {
+    const auto* f = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const Flag& fl) { return !std::strcmp(argv[i], fl.name); });
+    if (f == std::end(kFlags)) {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       usage();
     }
+    const char* value = nullptr;
+    if (f->takes_value) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", f->name);
+        usage();
+      }
+      value = argv[++i];
+    }
+    f->set(o, f->name, value);
+    given.push_back(f);
+  }
+  // A flag the scenario does not read fails loudly instead of exiting 0
+  // with nothing written or changed.
+  for (const Flag* f : given) {
+    const bool ff = !std::strcmp(f->name, "--fast-forward");
+    if ((f->read_by & o.bit) != 0 || (ff && !o.fast_forward)) continue;
+    std::fprintf(stderr, "%s does not support %s%s\n", o.scenario.c_str(),
+                 f->name, ff ? " 1" : "");
+    usage();
   }
   return o;
+}
+
+/// Writes one output file, if `file` names one: `csv` for a ".csv" name
+/// when the format has one, else `json`. An unwritable file exits 1.
+void write_out(const std::string& file,
+               const std::function<void(std::ostream&)>& json,
+               const std::function<void(std::ostream&)>& csv = nullptr) {
+  if (file.empty()) return;
+  std::ofstream os(file);
+  if (!os) {
+    std::fprintf(stderr, "cannot write %s\n", file.c_str());
+    std::exit(1);
+  }
+  const bool is_csv =
+      file.size() >= 4 && file.compare(file.size() - 4, 4, ".csv") == 0;
+  (is_csv && csv ? csv : json)(os);
 }
 
 /// Optional tracing for one scenario run. Construct right before the
@@ -254,26 +331,12 @@ class TraceScope {
   void finish() {
     if (!tracer_) return;
     tracer_->sample_now();  // closing snapshot at end-of-run time
-    if (!o_.trace_file.empty()) {
-      std::ofstream os(o_.trace_file);
-      if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", o_.trace_file.c_str());
-        std::exit(1);
-      }
-      tracer_->write_chrome_trace(os);
-    }
-    if (!o_.report_file.empty()) {
-      std::ofstream os(o_.report_file);
-      if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", o_.report_file.c_str());
-        std::exit(1);
-      }
-      if (o_.report_file.size() >= 4 &&
-          o_.report_file.compare(o_.report_file.size() - 4, 4, ".csv") == 0)
-        tracer_->write_report_csv(os);
-      else
-        tracer_->write_report_json(os);
-    }
+    write_out(o_.trace_file,
+              [&](std::ostream& os) { tracer_->write_chrome_trace(os); });
+    write_out(
+        o_.report_file,
+        [&](std::ostream& os) { tracer_->write_report_json(os); },
+        [&](std::ostream& os) { tracer_->write_report_csv(os); });
     tracer_.reset();
   }
 
@@ -298,24 +361,13 @@ class StatsScope {
     stats_->install();
   }
 
-  [[nodiscard]] stats::Registry* get() noexcept { return stats_.get(); }
-
   void finish(int exit_code) {
     if (!stats_) return;
     if (exit_code != 0 && !stats_->flight_dump_triggered())
       stats_->trigger_flight_dump("cli:nonzero-exit");
-    if (!o_.stats_out.empty()) {
-      std::ofstream os(o_.stats_out);
-      if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", o_.stats_out.c_str());
-        std::exit(1);
-      }
-      if (o_.stats_out.size() >= 4 &&
-          o_.stats_out.compare(o_.stats_out.size() - 4, 4, ".csv") == 0)
-        stats_->write_csv(os);
-      else
-        stats_->write_json(os);
-    }
+    write_out(
+        o_.stats_out, [&](std::ostream& os) { stats_->write_json(os); },
+        [&](std::ostream& os) { stats_->write_csv(os); });
     stats_.reset();
   }
 
@@ -351,10 +403,9 @@ class AuditScope {
 };
 
 /// Builds and validates the scripted/random fault plan, or nullopt when
-/// neither --fault-plan nor --fault-seed was given. Called *before* the
-/// session is constructed so the session config can derive its fast-forward
-/// quiet horizon (cfg.ff_quiet_after) from the plan's last scheduled event.
-std::optional<fault::FaultPlan> make_fault_plan(const Options& o, int links,
+/// neither --fault-plan nor --fault-seed was given.
+std::optional<fault::FaultPlan> make_fault_plan(const Options& o,
+                                                std::size_t links,
                                                 int streams) {
   if (o.fault_plan.empty() && o.fault_seed == 0) return std::nullopt;
   fault::FaultPlan plan;
@@ -384,71 +435,62 @@ std::optional<fault::FaultPlan> make_fault_plan(const Options& o, int links,
     }
   } else {
     fault::FaultPlan::RandomParams rp;
-    rp.links = links;
+    rp.links = static_cast<int>(links);
     rp.qps = streams;
     plan = fault::FaultPlan::random(o.fault_seed, rp);
   }
   return plan;
 }
 
-/// Applies --fast-forward to an rftp session config. The quiet horizon is
-/// the fault plan's last scheduled event plus generous settling slack
-/// (grant-retry pacing is 2*rtt; 20x that plus a fixed margin buries any
-/// recovery transient), so the detector only ever arms after every scripted
-/// perturbation has fired and drained. A crash plan whose down-time is
-/// unbounded yields kTimeInfinity and the session never builds the
-/// detector — honestly event-exact.
-void apply_fast_forward(rftp::RftpConfig& cfg, const Options& o,
-                        const std::optional<fault::FaultPlan>& plan,
-                        sim::SimDuration max_rtt) {
+/// The shared run of the RFTP transfer scenarios (quick, e2e, wan). A
+/// scenario brings its testbed's engine, endpoints and links, its default
+/// stream count, `transfer(sess)` (runs the session over the scenario's
+/// own source and sink) and `headline(sess, result)`; this builds the
+/// fault plan and the session, wires the stats, audit and trace scopes
+/// and the fault plan around the transfer, and prints the digest and the
+/// fast-forward and fault summaries. Returns the exit code.
+template <class Transfer, class Headline>
+int run_transfer(const Options& o, sim::Engine& eng, rftp::EndpointConfig snd,
+                 rftp::EndpointConfig rcv, std::vector<net::Link*> links,
+                 int default_streams, Transfer transfer, Headline headline) {
+  rftp::RftpConfig cfg;
+  cfg.streams = o.streams > 0 ? o.streams : default_streams;
+  cfg.block_bytes = o.block;
+  cfg.credits_per_stream = o.credits;
+  cfg.numa_aware = o.numa;
+  cfg.checkpoint_blocks = o.checkpoint;
   cfg.fast_forward = o.fast_forward;
-  if (!o.fast_forward) return;
-  const sim::SimDuration slack = 20 * max_rtt + 100 * sim::kMillisecond;
-  cfg.ff_quiet_after = plan ? plan->quiet_after(slack) : 0;
-}
-
-/// Prints the fast-forward engagement summary after a transfer run.
-void ff_summary(const Options& o, const rftp::TransferResult& r) {
-  if (!o.fast_forward) return;
-  std::printf("fast-forward: %llu span%s, %llu blocks collapsed, %.3f s "
-              "skipped\n",
-              static_cast<unsigned long long>(r.ff_spans),
-              r.ff_spans == 1 ? "" : "s",
-              static_cast<unsigned long long>(r.ff_blocks),
-              sim::to_seconds(r.ff_skipped_ns));
-}
-
-/// Optional fault injection for one rftp scenario run. Construct after the
-/// session (so a qpkill in the plan can map to kill_stream) and before the
-/// measured engine run, with the plan make_fault_plan() built earlier; call
-/// summary() afterwards. With no plan the scope is inert.
-class FaultScope {
- public:
-  FaultScope(sim::Engine& eng, std::optional<fault::FaultPlan> plan,
-             const std::vector<net::Link*>& links,
-             rftp::RftpSession* sess, int streams) {
-    if (!plan) return;
+  auto plan = make_fault_plan(o, links.size(), cfg.streams);
+  rftp::RftpSession sess(snd, rcv, std::move(links), cfg);
+  StatsScope ss(eng, o);
+  AuditScope as(eng, o);
+  TraceScope ts(eng, o);
+  std::unique_ptr<fault::FaultInjector> inj;
+  if (plan) {
     std::printf("fault plan: %s\n", plan->to_string().c_str());
-    inj_ = std::make_unique<fault::FaultInjector>(eng, std::move(*plan));
-    for (auto* l : links) inj_->attach(*l);
-    if (sess != nullptr && streams > 0) {
-      inj_->set_qp_kill_handler(
-          [sess, streams](int qp) { sess->kill_stream(qp % streams); });
-      inj_->set_crash_handler([sess](int host, sim::SimDuration down) {
-        sess->crash_host(host, down);
-      });
-    }
-    inj_->arm();
+    inj = std::make_unique<fault::FaultInjector>(eng, std::move(*plan));
+    sess.attach(*inj);
+    inj->arm();
   }
-
-  void summary(const rftp::RftpSession& sess,
-               const rftp::TransferResult& r) const {
-    if (!inj_) return;
+  const rftp::TransferResult r = transfer(sess);
+  if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
+  ts.finish();
+  headline(sess, r);
+  std::printf("digest: %016llx\n",
+              static_cast<unsigned long long>(sess.sink_digest()));
+  if (o.fast_forward)
+    std::printf("fast-forward: %llu span%s, %llu blocks collapsed, %.3f s "
+                "skipped\n",
+                static_cast<unsigned long long>(r.ff_spans),
+                r.ff_spans == 1 ? "" : "s",
+                static_cast<unsigned long long>(r.ff_blocks),
+                sim::to_seconds(r.ff_skipped_ns));
+  if (inj) {
     std::printf(
         "faults: %llu injected, %llu messages dropped; "
         "%llu retransmits, %llu failovers; complete=%s integrity=%s\n",
-        static_cast<unsigned long long>(inj_->faults_injected()),
-        static_cast<unsigned long long>(inj_->messages_failed()),
+        static_cast<unsigned long long>(inj->faults_injected()),
+        static_cast<unsigned long long>(inj->messages_failed()),
         static_cast<unsigned long long>(sess.retransmissions),
         static_cast<unsigned long long>(sess.failovers),
         r.complete ? "yes" : "NO", r.integrity_ok ? "ok" : "FAILED");
@@ -462,10 +504,10 @@ class FaultScope {
           static_cast<unsigned long long>(sess.rolled_back_blocks),
           static_cast<unsigned long long>(sess.watchdog().false_suspicions()));
   }
-
- private:
-  std::unique_ptr<fault::FaultInjector> inj_;
-};
+  const int rc = r.complete && r.integrity_ok && !as.failed() ? 0 : 1;
+  ss.finish(rc);
+  return rc;
+}
 
 int run_quick(const Options& o) {
   sim::Engine eng;
@@ -477,34 +519,18 @@ int run_quick(const Options& o) {
   link->bind_endpoints(&a, &b);
   numa::Process pa(a, "client", numa::NumaBinding::bound(da.node()));
   numa::Process pb(b, "server", numa::NumaBinding::bound(db.node()));
-  rftp::RftpConfig cfg;
-  cfg.streams = o.streams > 0 ? o.streams : 1;
-  cfg.block_bytes = o.block;
-  cfg.credits_per_stream = o.credits;
-  cfg.numa_aware = o.numa;
-  cfg.checkpoint_blocks = o.checkpoint;
-  auto plan = make_fault_plan(o, 1, cfg.streams);
-  apply_fast_forward(cfg, o, plan, link->rtt());
-  rftp::RftpSession sess({&pa, {&da}}, {&pb, {&db}}, {link.get()}, cfg);
-  rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
-  rftp::MemorySink dst;
-  StatsScope ss(eng, o);
-  AuditScope as(eng, o);
-  TraceScope ts(eng, o);
-  FaultScope fs(eng, std::move(plan), {link.get()}, &sess, cfg.streams);
-  const auto r = exp::run_task(eng, sess.run(src, dst, o.gib << 30));
-  if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
-  ts.finish();
-  std::printf("quick: %llu GiB in %.2f s -> %.1f Gbps\n",
-              static_cast<unsigned long long>(o.gib), r.elapsed_s,
-              r.goodput_gbps);
-  std::printf("digest: %016llx\n",
-              static_cast<unsigned long long>(sess.sink_digest()));
-  ff_summary(o, r);
-  fs.summary(sess, r);
-  const int rc = r.complete && r.integrity_ok && !as.failed() ? 0 : 1;
-  ss.finish(rc);
-  return rc;
+  return run_transfer(
+      o, eng, {&pa, {&da}}, {&pb, {&db}}, {link.get()}, 1,
+      [&](rftp::RftpSession& sess) {
+        rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
+        rftp::MemorySink dst;
+        return exp::run_task(eng, sess.run(src, dst, o.gib << 30));
+      },
+      [&](const rftp::RftpSession&, const rftp::TransferResult& r) {
+        std::printf("quick: %llu GiB in %.2f s -> %.1f Gbps\n",
+                    static_cast<unsigned long long>(o.gib), r.elapsed_s,
+                    r.goodput_gbps);
+      });
 }
 
 int run_e2e(const Options& o) {
@@ -512,92 +538,61 @@ int run_e2e(const Options& o) {
   tb.start();
   numa::Process sp(*tb.src_fe, "client", numa::NumaBinding::os_default());
   numa::Process rp(*tb.dst_fe, "server", numa::NumaBinding::os_default());
-  rftp::RftpConfig cfg;
-  cfg.numa_aware = o.numa;
-  cfg.block_bytes = o.block;
-  cfg.credits_per_stream = o.credits;
-  cfg.checkpoint_blocks = o.checkpoint;
-  if (o.streams > 0) cfg.streams = o.streams;
-  auto plan =
-      make_fault_plan(o, static_cast<int>(tb.links().size()), cfg.streams);
-  sim::SimDuration max_rtt = 0;
-  for (const auto* l : tb.links()) max_rtt = std::max(max_rtt, l->rtt());
-  apply_fast_forward(cfg, o, plan, max_rtt);
-  rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
-                         tb.links(), cfg);
   exp::SanSection* san = tb.src_san.get();
   auto locality = [san](std::uint64_t off, std::uint64_t) {
     return san->fe_node_of(off);
   };
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
   // After tb.start(): the testbed's setup run has drained, so the sampler
-  // armed here stays alive exactly for the measured transfer.
-  StatsScope ss(tb.eng, o);
-  AuditScope as(tb.eng, o);
-  TraceScope ts(tb.eng, o);
-  FaultScope fs(tb.eng, std::move(plan), tb.links(), &sess, cfg.streams);
-  rftp::TransferResult r;
-  if (o.files > 1) {
-    rftp::FileSet sset(*tb.src_fs);
-    sset.create_filled("part", o.files, (o.gib << 30) / o.files / 512 * 512);
-    rftp::FileSet dset(*tb.dst_fs);
-    dset.create_empty("part-copy", o.files,
-                      (o.gib << 30) / o.files / 512 * 512);
-    rftp::FileSetSource src(sset, locality);
-    rftp::FileSetSink dst(dset);
-    r = exp::run_task(tb.eng, sess.run(src, dst, sset.total_bytes(), &meter));
-  } else {
-    rftp::FileSource src(*tb.src_fs, *tb.src_file, true, locality);
-    rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
-    r = exp::run_task(tb.eng, sess.run(src, dst, tb.dataset_bytes, &meter));
-  }
-  if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
-  ts.finish();
-  std::printf("e2e (%s): %.1f Gbps over the full SAN->RoCE->SAN path\n",
-              o.numa ? "numa-tuned" : "untuned", r.goodput_gbps);
-  std::printf("per-second series: ");
-  for (double g : meter.series_gbps()) std::printf("%.0f ", g);
-  std::printf("Gbps\n");
-  ff_summary(o, r);
-  fs.summary(sess, r);
-  const int rc = r.complete && r.integrity_ok && !as.failed() ? 0 : 1;
-  ss.finish(rc);
-  return rc;
+  // the trace scope arms stays alive exactly for the measured transfer.
+  return run_transfer(
+      o, tb.eng, {&sp, tb.src_roce()}, {&rp, tb.dst_roce()}, tb.links(),
+      rftp::RftpConfig{}.streams,
+      [&](rftp::RftpSession& sess) {
+        if (o.files > 1) {
+          const std::uint64_t part = (o.gib << 30) / o.files / 512 * 512;
+          rftp::FileSet sset(*tb.src_fs);
+          sset.create_filled("part", o.files, part);
+          rftp::FileSet dset(*tb.dst_fs);
+          dset.create_empty("part-copy", o.files, part);
+          rftp::FileSetSource src(sset, locality);
+          rftp::FileSetSink dst(dset);
+          return exp::run_task(
+              tb.eng, sess.run(src, dst, sset.total_bytes(), &meter));
+        }
+        rftp::FileSource src(*tb.src_fs, *tb.src_file, true, locality);
+        rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
+        return exp::run_task(tb.eng,
+                             sess.run(src, dst, tb.dataset_bytes, &meter));
+      },
+      [&](const rftp::RftpSession&, const rftp::TransferResult& r) {
+        std::printf("e2e (%s): %.1f Gbps over the full SAN->RoCE->SAN path\n",
+                    o.numa ? "numa-tuned" : "untuned", r.goodput_gbps);
+        std::printf("per-second series: ");
+        for (double g : meter.series_gbps()) std::printf("%.0f ", g);
+        std::printf("Gbps\n");
+      });
 }
 
 int run_wan(const Options& o) {
   exp::WanTestbed tb;
-  rftp::RftpConfig cfg;
-  cfg.streams = o.streams > 0 ? o.streams : 4;
-  cfg.block_bytes = o.block;
-  cfg.credits_per_stream = o.credits;
-  cfg.checkpoint_blocks = o.checkpoint;
-  auto plan = make_fault_plan(o, 1, cfg.streams);
-  apply_fast_forward(cfg, o, plan, tb.link->rtt());
-  rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
-                         {tb.b_proc.get(), {tb.b_dev.get()}},
-                         {tb.link.get()}, cfg);
-  rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
-  rftp::MemorySink dst;
-  StatsScope ss(tb.eng, o);
-  AuditScope as(tb.eng, o);
-  TraceScope ts(tb.eng, o);
-  FaultScope fs(tb.eng, std::move(plan), {tb.link.get()}, &sess,
-                cfg.streams);
-  const auto r = exp::run_task(tb.eng, sess.run(src, dst, o.gib << 30));
-  if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
-  ts.finish();
-  std::printf(
-      "wan (rtt 95 ms): %.1f Gbps (%.0f%% of 40G); in-flight window %.0f MB "
-      "vs BDP 475 MB\n",
-      r.goodput_gbps, 100.0 * r.goodput_gbps / 40.0,
-      static_cast<double>(cfg.streams) * cfg.credits_per_stream *
-          static_cast<double>(cfg.block_bytes) / 1e6);
-  ff_summary(o, r);
-  fs.summary(sess, r);
-  const int rc = r.complete && r.integrity_ok && !as.failed() ? 0 : 1;
-  ss.finish(rc);
-  return rc;
+  return run_transfer(
+      o, tb.eng, {tb.a_proc.get(), {tb.a_dev.get()}},
+      {tb.b_proc.get(), {tb.b_dev.get()}}, {tb.link.get()}, 4,
+      [&](rftp::RftpSession& sess) {
+        rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
+        rftp::MemorySink dst;
+        return exp::run_task(tb.eng, sess.run(src, dst, o.gib << 30));
+      },
+      [](const rftp::RftpSession& sess, const rftp::TransferResult& r) {
+        const rftp::RftpConfig& cfg = sess.config();
+        std::printf(
+            "wan (rtt 95 ms): %.1f Gbps (%.0f%% of 40G); in-flight window "
+            "%.0f MB vs BDP 475 MB\n",
+            r.goodput_gbps, 100.0 * r.goodput_gbps / 40.0,
+            static_cast<double>(cfg.streams) * cfg.credits_per_stream *
+                static_cast<double>(cfg.block_bytes) / 1e6);
+      });
 }
 
 int run_san(const Options& o) {
@@ -647,18 +642,8 @@ int finish_cluster(const Options& o, const exp::ClusterResult& r,
     std::printf("%s: %llu audit violation(s)\n", name,
                 static_cast<unsigned long long>(r.audit_violations));
   // Merged cluster dumps are JSON-only (one document per shard).
-  const auto write = [](const std::string& file, const std::string& json) {
-    if (file.empty()) return true;
-    std::ofstream os(file);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", file.c_str());
-      return false;
-    }
-    os << json;
-    return true;
-  };
-  if (!write(o.trace_file, r.trace_json) || !write(o.stats_out, r.stats_json))
-    return 1;
+  write_out(o.trace_file, [&](std::ostream& os) { os << r.trace_json; });
+  write_out(o.stats_out, [&](std::ostream& os) { os << r.stats_json; });
   return ok && r.audit_ok ? 0 : 1;
 }
 
@@ -762,53 +747,21 @@ int run_motivating(const Options& o) {
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
-  if (o.scenario == "fleet" || o.scenario == "kv") {
-    if (o.pairs < 1) {
-      std::fprintf(stderr, "bad --pairs %d: need at least one pair\n",
-                   o.pairs);
-      usage();
-    }
-    if (o.shards < 1 || o.shards > o.pairs) {
-      std::fprintf(stderr,
-                   "bad --shards %d: must be in [1, --pairs=%d] (one engine "
-                   "shard per host pair)\n",
-                   o.shards, o.pairs);
-      usage();
-    }
-    if (!o.fault_plan.empty()) {
-      std::fprintf(stderr,
-                   "%s uses --fault-seed; a scripted --fault-plan targets "
-                   "a single session\n",
-                   o.scenario.c_str());
-      usage();
-    }
-    // Flags a multi-host scenario cannot honour fail loudly instead of
-    // exiting 0 with nothing written or changed.
-    const char* unsupported = nullptr;
-    if (!o.report_file.empty())
-      unsupported = "--report";
-    else if (o.fast_forward)
-      unsupported = "--fast-forward 1";
-    else if (o.scenario == "kv" && !o.trace_file.empty())
-      unsupported = "--trace";
-    if (unsupported != nullptr) {
-      std::fprintf(stderr, "%s does not support %s\n", o.scenario.c_str(),
-                   unsupported);
-      usage();
-    }
-    return o.scenario == "kv" ? run_kv(o) : run_fleet(o);
-  }
-  if (o.shards != 1) {
+  if ((o.bit & kCluster) != 0 && o.shards > o.pairs) {
     std::fprintf(stderr,
-                 "bad --shards %d: only the fleet scenario is sharded (%s "
-                 "runs one engine)\n",
-                 o.shards, o.scenario.c_str());
+                 "bad --shards %d: must be in [1, --pairs=%d] (one engine "
+                 "shard per host pair)\n",
+                 o.shards, o.pairs);
     usage();
   }
-  if (o.scenario == "quick") return run_quick(o);
-  if (o.scenario == "e2e") return run_e2e(o);
-  if (o.scenario == "wan") return run_wan(o);
-  if (o.scenario == "san") return run_san(o);
-  if (o.scenario == "motivating") return run_motivating(o);
+  switch (o.bit) {
+    case kQuick: return run_quick(o);
+    case kE2e: return run_e2e(o);
+    case kWan: return run_wan(o);
+    case kSan: return run_san(o);
+    case kMotivating: return run_motivating(o);
+    case kFleet: return run_fleet(o);
+    case kKv: return run_kv(o);
+  }
   usage();
 }
