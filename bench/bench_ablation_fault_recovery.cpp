@@ -11,19 +11,13 @@
 
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "bench_util.hpp"
-#include "exp/runner.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
-#include "iscsi/tcp_datamover.hpp"
-#include "iser/session.hpp"
 #include "metrics/table.hpp"
-#include "model/host_profile.hpp"
+#include "san_link_bench.hpp"
 #include "stats/stats.hpp"
 
 namespace e2e::bench {
@@ -39,9 +33,6 @@ struct Result {
   stats::Histogram cmd_hist;  // iSCSI command round-trip latency
 };
 
-constexpr std::uint64_t kIoBytes = 4ull << 20;
-constexpr int kJobs = 8;
-constexpr std::uint64_t kLunBytes = 4ull << 30;
 constexpr std::uint64_t kSeed = 7;
 
 struct Intensity {
@@ -94,86 +85,24 @@ std::vector<Intensity> intensities() {
   return out;
 }
 
-sim::Task<> io_job(iscsi::Initiator& init, numa::Thread& th,
-                   mem::Buffer* buf, std::uint64_t region_off,
-                   sim::SimTime deadline, std::uint64_t* bytes) {
-  auto& eng = th.host().engine();
-  std::uint64_t off = region_off;
-  const auto blocks = static_cast<std::uint32_t>(kIoBytes / 512);
-  while (eng.now() < deadline) {
-    const auto s =
-        co_await init.submit_write(th, 0, off / 512, blocks, *buf);
-    if (s != scsi::Status::kGood) co_return;  // terminal: job gives up
-    if (eng.now() <= deadline) *bytes += kIoBytes;
-    off += kIoBytes;
-    if (off + kIoBytes > region_off + kLunBytes / kJobs) off = region_off;
-  }
-}
-
 Result run_case(bool use_tcp, const Intensity& lvl) {
   sim::Engine eng;
   stats::Registry stats(eng);  // command-latency percentiles ride on it
   stats.install();
-  numa::Host fe(eng, model::front_end_lan_host("fe"));
-  numa::Host be(eng, model::back_end_lan_host("be"));
-  auto link = net::make_ib_lan(eng, "ib");
-  link->bind_endpoints(&fe, &be);
-  numa::Process iproc(fe, "initiator", numa::NumaBinding::bound(0));
-  numa::Process tproc(be, "tgtd", numa::NumaBinding::bound(0));
-
-  mem::Tmpfs store(be);
-  auto& file = store.create("lun0", kLunBytes, numa::MemPolicy::kBind, 0);
-  scsi::Lun lun(0, store, file);
-  mem::BufferPool staging(be, "staging", 32, 8ull << 20,
-                          numa::MemPolicy::kBind, 0);
-  staging.mark_registered();
-
-  std::unique_ptr<rdma::Device> fe_dev, be_dev;
-  std::unique_ptr<iser::IserSession> rdma_sess;
-  std::unique_ptr<iscsi::TcpSession> tcp_sess;
-  iscsi::Datamover* init_dm = nullptr;
-  iscsi::Datamover* tgt_dm = nullptr;
-
-  numa::Thread& irx = iproc.spawn_thread();
-  numa::Thread& itx = iproc.spawn_thread();
-  numa::Thread& trx = tproc.spawn_thread();
-  numa::Thread& ttx = tproc.spawn_thread();
-  if (use_tcp) {
-    tcp_sess = std::make_unique<iscsi::TcpSession>(fe, 0, be, 0, *link,
-                                                   iproc, tproc);
-    exp::run_task(eng, tcp_sess->start(irx, itx, trx, ttx));
-    init_dm = &tcp_sess->initiator_ep();
-    tgt_dm = &tcp_sess->target_ep();
-  } else {
-    fe_dev = std::make_unique<rdma::Device>(
-        fe, model::NicProfile{"ib0", model::LinkType::kInfiniBand, 56.0,
-                              65520, 0, 63.0});
-    be_dev = std::make_unique<rdma::Device>(be, be.profile().nics[0]);
-    rdma_sess = std::make_unique<iser::IserSession>(*fe_dev, *be_dev, *link,
-                                                    iproc, tproc);
-    exp::run_task(eng, rdma_sess->start(irx, trx));
-    init_dm = &rdma_sess->initiator_ep();
-    tgt_dm = &rdma_sess->target_ep();
-  }
-
-  iscsi::Target target(tproc, *tgt_dm, {&lun}, staging);
-  target.start(8);
   // TCP's transport retransmits absorb wire faults, so its initiator runs
   // without a command timer; iSER sees failed completions and needs the
   // command-retry layer armed. The timer sits above the ~7 ms queueing
   // latency of 8 concurrent 4 MiB commands so clean runs never retry.
-  iscsi::RetryPolicy policy;
-  iscsi::Initiator initiator(iproc, *init_dm,
-                             use_tcp ? 0 : 25 * sim::kMillisecond, policy);
-  iscsi::LoginParams params;
-  if (!exp::run_task(eng, initiator.login(irx, params)))
-    throw std::runtime_error("login failed");
-  initiator.start_dispatcher(irx);
-  if (!use_tcp) {
+  exp::IscsiRigConfig cfg;
+  cfg.transport = use_tcp ? exp::Transport::kTcp : exp::Transport::kIser;
+  if (!use_tcp) cfg.command_timeout = 25 * sim::kMillisecond;
+  SanLinkBench b(eng, cfg);
+  iser::IserSession* iser = b.iscsi.iser();
+  if (iser != nullptr) {
     iser::SessionRecoveryPolicy rp;
-    rp.mr_bytes_initiator = kIoBytes;
+    rp.mr_bytes_initiator = SanLinkBench::kIoBytes;
     rp.mr_bytes_target = 8ull << 20;
-    rdma_sess->enable_recovery(irx, trx, rp);
+    iser->enable_recovery(b.irx, b.trx, rp);
   }
 
   const sim::SimDuration window = 2 * sim::kSecond;
@@ -184,33 +113,23 @@ Result run_case(bool use_tcp, const Intensity& lvl) {
                        return p;
                      }())
                    : fault::FaultPlan{});
-  inj.attach(*link);
-  if (!use_tcp)
-    inj.set_qp_kill_handler([&rdma_sess](int) { rdma_sess->kill(); });
+  b.iscsi.attach(inj);
   inj.arm();
 
   const sim::SimTime deadline = eng.now() + window;
   const sim::SimTime t0 = eng.now();
-  auto bytes = std::make_unique<std::uint64_t>(0);
-  std::vector<std::unique_ptr<mem::Buffer>> bufs;
-  for (int j = 0; j < kJobs; ++j) {
-    bufs.push_back(std::make_unique<mem::Buffer>());
-    bufs.back()->bytes = kIoBytes;
-    bufs.back()->placement = iproc.alloc(kIoBytes);
-    bufs.back()->registered = true;
-    sim::co_spawn(io_job(initiator, iproc.spawn_thread(), bufs.back().get(),
-                         j * (kLunBytes / kJobs), deadline, bytes.get()));
-  }
+  b.start_jobs(/*write=*/true, deadline);
   eng.run_until(deadline);
   const sim::SimDuration w = eng.now() - t0;
 
+  const iscsi::Initiator& initiator = b.iscsi.initiator();
   Result r;
-  r.gbps = static_cast<double>(*bytes) * 8.0 / static_cast<double>(w);
+  r.gbps = static_cast<double>(b.bytes) * 8.0 / static_cast<double>(w);
   r.faults = inj.faults_injected();
   r.messages_failed = inj.messages_failed();
   r.command_retries = initiator.command_retries();
   r.command_failures = initiator.command_failures();
-  if (rdma_sess) r.recoveries = rdma_sess->recoveries();
+  if (iser != nullptr) r.recoveries = iser->recoveries();
   r.cmd_hist = stats.merged_histogram("cmd_ns");
   eng.run();
   return r;

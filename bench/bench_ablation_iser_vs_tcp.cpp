@@ -9,16 +9,9 @@
 
 #include <cstdio>
 #include <map>
-#include <memory>
 
-#include "bench_util.hpp"
-#include "exp/runner.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
-#include "iscsi/tcp_datamover.hpp"
-#include "iser/session.hpp"
 #include "metrics/table.hpp"
-#include "model/host_profile.hpp"
+#include "san_link_bench.hpp"
 
 namespace e2e::bench {
 namespace {
@@ -30,102 +23,25 @@ struct Result {
   double copy_cpu = 0.0;  // both hosts
 };
 
-constexpr std::uint64_t kIoBytes = 4ull << 20;
-constexpr int kJobs = 8;
-constexpr std::uint64_t kLunBytes = 4ull << 30;
-
-sim::Task<> io_job(iscsi::Initiator& init, numa::Thread& th,
-                   mem::Buffer* buf, bool write, std::uint64_t region_off,
-                   sim::SimTime deadline, std::uint64_t* bytes) {
-  auto& eng = th.host().engine();
-  std::uint64_t off = region_off;
-  const auto blocks = static_cast<std::uint32_t>(kIoBytes / 512);
-  while (eng.now() < deadline) {
-    const auto s =
-        write ? co_await init.submit_write(th, 0, off / 512, blocks, *buf)
-              : co_await init.submit_read(th, 0, off / 512, blocks, *buf);
-    if (s != scsi::Status::kGood) co_return;
-    if (eng.now() <= deadline) *bytes += kIoBytes;
-    off += kIoBytes;
-    if (off + kIoBytes > region_off + kLunBytes / kJobs) off = region_off;
-  }
-}
-
 Result run_transport(bool use_tcp, bool write) {
   sim::Engine eng;
-  numa::Host fe(eng, model::front_end_lan_host("fe"));
-  numa::Host be(eng, model::back_end_lan_host("be"));
-  auto link = net::make_ib_lan(eng, "ib");
-  link->bind_endpoints(&fe, &be);
-  numa::Process iproc(fe, "initiator", numa::NumaBinding::bound(0));
-  numa::Process tproc(be, "tgtd", numa::NumaBinding::bound(0));
-
-  mem::Tmpfs store(be);
-  auto& file = store.create("lun0", kLunBytes, numa::MemPolicy::kBind, 0);
-  scsi::Lun lun(0, store, file);
-  mem::BufferPool staging(be, "staging", 32, 8ull << 20,
-                          numa::MemPolicy::kBind, 0);
-  staging.mark_registered();
-
-  std::unique_ptr<rdma::Device> fe_dev, be_dev;
-  std::unique_ptr<iser::IserSession> rdma_sess;
-  std::unique_ptr<iscsi::TcpSession> tcp_sess;
-  iscsi::Datamover* init_dm = nullptr;
-  iscsi::Datamover* tgt_dm = nullptr;
-
-  numa::Thread& irx = iproc.spawn_thread();
-  numa::Thread& itx = iproc.spawn_thread();
-  numa::Thread& trx = tproc.spawn_thread();
-  numa::Thread& ttx = tproc.spawn_thread();
-  if (use_tcp) {
-    tcp_sess = std::make_unique<iscsi::TcpSession>(fe, 0, be, 0, *link,
-                                                   iproc, tproc);
-    exp::run_task(eng, tcp_sess->start(irx, itx, trx, ttx));
-    init_dm = &tcp_sess->initiator_ep();
-    tgt_dm = &tcp_sess->target_ep();
-  } else {
-    fe_dev = std::make_unique<rdma::Device>(
-        fe, model::NicProfile{"ib0", model::LinkType::kInfiniBand, 56.0,
-                              65520, 0, 63.0});
-    be_dev = std::make_unique<rdma::Device>(be, be.profile().nics[0]);
-    rdma_sess = std::make_unique<iser::IserSession>(*fe_dev, *be_dev, *link,
-                                                    iproc, tproc);
-    exp::run_task(eng, rdma_sess->start(irx, trx));
-    init_dm = &rdma_sess->initiator_ep();
-    tgt_dm = &rdma_sess->target_ep();
-  }
-
-  iscsi::Target target(tproc, *tgt_dm, {&lun}, staging);
-  target.start(8);
-  iscsi::Initiator initiator(iproc, *init_dm);
-  iscsi::LoginParams params;
-  if (!exp::run_task(eng, initiator.login(irx, params)))
-    throw std::runtime_error("login failed");
-  initiator.start_dispatcher(irx);
+  exp::IscsiRigConfig cfg;
+  cfg.transport = use_tcp ? exp::Transport::kTcp : exp::Transport::kIser;
+  SanLinkBench b(eng, cfg);
 
   const sim::SimDuration window = 2 * sim::kSecond;
   const sim::SimTime deadline = eng.now() + window;
   const sim::SimTime t0 = eng.now();
-  auto bytes = std::make_unique<std::uint64_t>(0);
-  std::vector<std::unique_ptr<mem::Buffer>> bufs;
-  for (int j = 0; j < kJobs; ++j) {
-    bufs.push_back(std::make_unique<mem::Buffer>());
-    bufs.back()->bytes = kIoBytes;
-    bufs.back()->placement = iproc.alloc(kIoBytes);
-    bufs.back()->registered = true;
-    sim::co_spawn(io_job(initiator, iproc.spawn_thread(), bufs.back().get(),
-                         write, j * (kLunBytes / kJobs), deadline,
-                         bytes.get()));
-  }
+  b.start_jobs(write, deadline);
   eng.run_until(deadline);
   const sim::SimDuration w = eng.now() - t0;
 
   Result r;
-  r.gbps = static_cast<double>(*bytes) * 8.0 / static_cast<double>(w);
-  r.initiator_cpu = fe.total_usage().total_percent(w);
-  r.target_cpu = be.total_usage().total_percent(w);
-  r.copy_cpu = fe.total_usage().percent(metrics::CpuCategory::kCopy, w) +
-               be.total_usage().percent(metrics::CpuCategory::kCopy, w);
+  r.gbps = static_cast<double>(b.bytes) * 8.0 / static_cast<double>(w);
+  r.initiator_cpu = b.fe.total_usage().total_percent(w);
+  r.target_cpu = b.be.total_usage().total_percent(w);
+  r.copy_cpu = b.fe.total_usage().percent(metrics::CpuCategory::kCopy, w) +
+               b.be.total_usage().percent(metrics::CpuCategory::kCopy, w);
   eng.run();
   return r;
 }

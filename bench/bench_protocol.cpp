@@ -8,11 +8,9 @@
 //   * sim::Channel throughput (ring-buffered item queue vs deque churn),
 //   * RDMA QP post/complete cycles.
 //
-// Every benchmark here uses only APIs that are stable across the overhaul,
-// so the same file builds against the pre-overhaul tree for honest
-// interleaved before/after runs (primitive benches for the new containers
-// are gated on __has_include and simply absent in the "before" build).
-// items_per_second is the figure of merit throughout.
+// The pooled-message and flat-table benches run their make_shared and
+// std::map baselines in the same binary. items_per_second is the figure of
+// merit throughout.
 //
 // Like bench_simcore, this bench must NOT inherit the -O0 driver pin (see
 // the GCC 12.2 note in CMakeLists.txt): it is self-contained, links only
@@ -21,81 +19,18 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
-#include "iser/session.hpp"
-#include "mem/buffer_pool.hpp"
-#include "mem/tmpfs.hpp"
-#include "model/host_profile.hpp"
-#include "net/link.hpp"
-#include "numa/numa.hpp"
-#include "rdma/rdma.hpp"
-#include "scsi/scsi.hpp"
-#include "sim/sim.hpp"
-
-#if __has_include("mem/msg_pool.hpp")
-#include <map>
-
+#include "exp/tiny_rig.hpp"
 #include "mem/flat_table.hpp"
 #include "mem/msg_pool.hpp"
-#define E2E_BENCH_HAVE_OVERHAUL 1
-#endif
 
 namespace {
 
 using namespace e2e;  // NOLINT: bench-local brevity
-
-model::HostProfile tiny_host(const std::string& name) {
-  model::HostProfile h;
-  h.name = name;
-  h.numa_nodes = 2;
-  h.cores_per_node = 2;
-  h.core_ghz = 2.0;
-  h.mem_gbytes = 16;
-  h.mem_gBps_per_node = 10.0;
-  h.interconnect_gBps = 5.0;
-  h.nics = {{"nic0", model::LinkType::kRoCE, 40.0, 9000, 0, 63.0},
-            {"nic1", model::LinkType::kRoCE, 40.0, 9000, 1, 63.0}};
-  return h;
-}
-
-/// Two tiny hosts joined by one 40G link, one RDMA device each (the test
-/// suite's TinyRig, inlined so the bench stays self-contained).
-struct Rig {
-  sim::Engine eng;
-  std::unique_ptr<numa::Host> a;
-  std::unique_ptr<numa::Host> b;
-  std::unique_ptr<rdma::Device> dev_a;
-  std::unique_ptr<rdma::Device> dev_b;
-  std::unique_ptr<net::Link> link;
-  std::unique_ptr<numa::Process> proc_a;
-  std::unique_ptr<numa::Process> proc_b;
-
-  Rig() {
-    a = std::make_unique<numa::Host>(eng, tiny_host("a"));
-    b = std::make_unique<numa::Host>(eng, tiny_host("b"));
-    dev_a = std::make_unique<rdma::Device>(*a, a->profile().nics[0]);
-    dev_b = std::make_unique<rdma::Device>(*b, b->profile().nics[0]);
-    link = net::make_roce_lan(eng, "t");
-    proc_a =
-        std::make_unique<numa::Process>(*a, "pa", numa::NumaBinding::bound(0));
-    proc_b =
-        std::make_unique<numa::Process>(*b, "pb", numa::NumaBinding::bound(0));
-  }
-};
-
-mem::Buffer make_buffer(numa::Host& host, std::uint64_t bytes,
-                        numa::NodeId node) {
-  mem::Buffer buf;
-  buf.bytes = bytes;
-  buf.placement = host.alloc(bytes, numa::MemPolicy::kBind, node, node);
-  buf.registered = true;
-  return buf;
-}
 
 // ---------------------------------------------------------------------------
 // End-to-end iSER command stream: login once, then drive WRITE(16)s through
@@ -104,42 +39,22 @@ mem::Buffer make_buffer(numa::Host& host, std::uint64_t bytes,
 // requests, completion demux, and the target's replay cache.
 
 struct IserBench {
-  Rig rig;
-  mem::Tmpfs fs{*rig.b};
-  scsi::Lun lun;
-  iser::IserSession session;
-  mem::BufferPool staging;
-  iscsi::Target target;
-  iscsi::Initiator initiator;
-  numa::Thread& ith;
-  numa::Thread& tth;
-  mem::Buffer buf;
+  exp::TinyRig rig;
+  exp::TinyIscsi san{rig, 1, 512 << 20};
+  mem::Buffer buf = exp::make_buffer(*rig.a, 256 << 10, 0);
 
-  IserBench()
-      : lun(0, fs, fs.create("lun0", 512 << 20, numa::MemPolicy::kBind, 0)),
-        session(*rig.dev_a, *rig.dev_b, *rig.link, *rig.proc_a, *rig.proc_b),
-        staging(*rig.b, "staging", 4, 1 << 20, numa::MemPolicy::kBind, 0),
-        target((staging.mark_registered(), *rig.proc_b), session.target_ep(),
-               std::vector<scsi::Lun*>{&lun}, staging),
-        initiator(*rig.proc_a, session.initiator_ep()),
-        ith(rig.proc_a->spawn_thread()),
-        tth(rig.proc_b->spawn_thread()),
-        buf(make_buffer(*rig.a, 256 << 10, 0)) {
-    exp::run_task(rig.eng, session.start(ith, tth));
-    target.start(2);
-    iscsi::LoginParams params;
-    if (!exp::run_task(rig.eng, initiator.login(ith, params))) abort();
-    initiator.start_dispatcher(ith);
-  }
+  IserBench() { san.iscsi.run_start(*san.ith, *san.tth, 2); }
 
   sim::Task<> drive(int cmds, bool reads, std::uint64_t* bad) {
+    iscsi::Initiator& init = san.iscsi.initiator();
+    numa::Thread& th = *san.ith;
     const std::uint32_t blocks = (256u << 10) / 512;
     for (int i = 0; i < cmds; ++i) {
       const std::uint64_t lba =
           (static_cast<std::uint64_t>(i) % 512) * blocks;
       const auto st =
-          reads ? co_await initiator.submit_read(ith, 0, lba, blocks, buf)
-                : co_await initiator.submit_write(ith, 0, lba, blocks, buf);
+          reads ? co_await init.submit_read(th, 0, lba, blocks, buf)
+                : co_await init.submit_write(th, 0, lba, blocks, buf);
       if (st != scsi::Status::kGood) ++*bad;
     }
   }
@@ -177,7 +92,7 @@ BENCHMARK(BM_IserReadCommands);
 
 void BM_ThreadBookCopy(benchmark::State& state) {
   sim::Engine eng;
-  numa::Host host(eng, tiny_host("h"));
+  numa::Host host(eng, exp::tiny_host("h"));
   numa::Process proc(host, "p", numa::NumaBinding::bound(0));
   numa::Thread& th = proc.spawn_thread();
   const numa::Placement local = numa::Placement::on(0);
@@ -225,15 +140,15 @@ BENCHMARK(BM_ChannelQueueCycle);
 // SCSI layering above.
 
 void BM_QpWriteCompletion(benchmark::State& state) {
-  Rig rig;
+  exp::TinyRig rig;
   rdma::CompletionQueue scq_a(rig.eng), rcq_a(rig.eng);
   rdma::CompletionQueue scq_b(rig.eng), rcq_b(rig.eng);
   rdma::QueuePair qa(*rig.dev_a, scq_a, rcq_a);
   rdma::QueuePair qb(*rig.dev_b, scq_b, rcq_b);
   rdma::QueuePair::connect(qa, qb, *rig.link);
   numa::Thread& th = rig.proc_a->spawn_thread();
-  mem::Buffer src = make_buffer(*rig.a, 4096, 0);
-  mem::Buffer dst = make_buffer(*rig.b, 4096, 0);
+  mem::Buffer src = exp::make_buffer(*rig.a, 4096, 0);
+  mem::Buffer dst = exp::make_buffer(*rig.b, 4096, 0);
 
   auto one = [](rdma::QueuePair& qp, rdma::CompletionQueue& scq,
                 numa::Thread& t, mem::Buffer& s, mem::Buffer& d,
@@ -261,12 +176,10 @@ void BM_QpWriteCompletion(benchmark::State& state) {
 }
 BENCHMARK(BM_QpWriteCompletion);
 
-#ifdef E2E_BENCH_HAVE_OVERHAUL
 // ---------------------------------------------------------------------------
-// Primitive A/B benches, only meaningful in the overhauled tree: pooled
-// message payloads vs make_shared, and the flat pending table vs the
-// std::map it replaced. The shared_ptr/map baselines run here too so the
-// ratio is visible within one binary.
+// Primitive A/B benches: pooled message payloads vs make_shared, and the
+// flat pending table vs the std::map it replaced. The shared_ptr/map
+// baselines run here too so the ratio is visible within one binary.
 
 struct FakePdu {
   std::uint64_t itt = 0;
@@ -334,7 +247,6 @@ void BM_StdMapTagChurn(benchmark::State& state) {
   map_churn(state, a);
 }
 BENCHMARK(BM_StdMapTagChurn);
-#endif  // E2E_BENCH_HAVE_OVERHAUL
 
 }  // namespace
 

@@ -61,35 +61,27 @@ SanSection::SanSection(sim::Engine& eng, numa::Host& fe_host,
                                           numa::kAnyNode}
                       : numa::NumaBinding::os_default());
 
-  // One iSER session per link; one Target per session.
+  // One iSER session per link, its Target serving the link's LUNs.
+  IscsiRigConfig rig_cfg;
+  if (cfg_.libnuma_dynamic) rig_cfg.sched = iscsi::TargetSched::kNumaRouted;
   for (int s = 0; s < 2; ++s) {
-    numa::Process& tproc =
-        *tgt_procs_[cfg_.numa_tuned ? static_cast<std::size_t>(s) : 0];
-    sessions_.push_back(std::make_unique<iser::IserSession>(
-        *fe_ib_[s], *tgt_ib_[s], *links_[s], *init_proc_, tproc));
-
     staging_pools_.push_back(std::make_unique<mem::BufferPool>(
         *target_host_, name + "-staging" + std::to_string(s),
         static_cast<std::size_t>(cfg_.staging_buffers_per_target),
         cfg_.staging_bytes,
         bound_memory ? numa::MemPolicy::kBind : numa::MemPolicy::kInterleave,
         tgt_ib_[s]->node()));
-    staging_pools_.back()->mark_registered();
-
     std::vector<scsi::Lun*> subset;
     for (int l = s; l < cfg_.luns; l += 2) subset.push_back(luns_[l].get());
-    targets_.push_back(std::make_unique<iscsi::Target>(
-        tproc, sessions_.back()->target_ep(), subset, *staging_pools_.back(),
-        cfg_.libnuma_dynamic ? iscsi::TargetSched::kNumaRouted
-                             : iscsi::TargetSched::kShared));
-
-    initiators_.push_back(std::make_unique<iscsi::Initiator>(
-        *init_proc_, sessions_.back()->initiator_ep()));
+    rigs_.push_back(std::make_unique<IscsiRig>(
+        IscsiEnd{init_proc_.get(), fe_ib_[s]},
+        IscsiEnd{&target_proc(s), tgt_ib_[s].get()}, *links_[s],
+        std::move(subset), *staging_pools_.back(), rig_cfg));
   }
 
   for (int l = 0; l < cfg_.luns; ++l)
     lun_devices_.push_back(std::make_unique<blk::RemoteBlockDevice>(
-        *initiators_[static_cast<std::size_t>(l % 2)],
+        rigs_[static_cast<std::size_t>(l % 2)]->initiator(),
         static_cast<std::uint32_t>(l), cfg_.lun_bytes));
 
   std::vector<blk::BlockDevice*> members;
@@ -98,22 +90,17 @@ SanSection::SanSection(sim::Engine& eng, numa::Host& fe_host,
       std::make_unique<blk::StripedBlockDevice>(members, 4ull << 20);
 }
 
+numa::Process& SanSection::target_proc(int session) {
+  return *tgt_procs_[cfg_.numa_tuned ? static_cast<std::size_t>(session) : 0];
+}
+
 sim::Task<> SanSection::start() {
   for (int s = 0; s < 2; ++s) {
-    numa::Process& tproc =
-        *tgt_procs_[cfg_.numa_tuned ? static_cast<std::size_t>(s) : 0];
     numa::Thread& ith = init_proc_->spawn_thread(fe_ib_[s]->node());
-    numa::Thread& tth = tproc.spawn_thread(tgt_ib_[s]->node());
-    co_await sessions_[s]->start(ith, tth);
-
+    numa::Thread& tth = target_proc(s).spawn_thread(tgt_ib_[s]->node());
     const int workers =
         cfg_.threads_per_lun * (cfg_.luns / 2 + (s == 0 ? cfg_.luns % 2 : 0));
-    targets_[s]->start(workers);
-
-    const iscsi::LoginParams proposal{};
-    const bool ok = co_await initiators_[s]->login(ith, proposal);
-    if (!ok) throw std::runtime_error("iSER login failed");
-    initiators_[s]->start_dispatcher(ith);
+    co_await rigs_[static_cast<std::size_t>(s)]->start(ith, tth, workers);
   }
 }
 

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "blk/block_device.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
-#include "iser/session.hpp"
+#include "exp/iscsi_rig.hpp"
 #include "mem/buffer_pool.hpp"
 #include "mem/tmpfs.hpp"
 #include "model/host_profile.hpp"
@@ -83,16 +81,11 @@ class SanSection {
   [[nodiscard]] metrics::CpuUsage target_usage() const {
     return target_host_->total_usage();
   }
-  [[nodiscard]] std::vector<iscsi::Target*> targets() {
-    std::vector<iscsi::Target*> out;
-    for (auto& t : targets_) out.push_back(t.get());
-    return out;
-  }
-  [[nodiscard]] numa::Process& initiator_process() noexcept {
-    return *init_proc_;
-  }
 
  private:
+  /// The target process serving `session` (one per node when tuned).
+  numa::Process& target_proc(int session);
+
   sim::Engine& eng_;
   numa::Host& fe_host_;
   std::vector<rdma::Device*> fe_ib_;
@@ -106,9 +99,7 @@ class SanSection {
   std::vector<std::unique_ptr<numa::Process>> tgt_procs_;
   std::unique_ptr<numa::Process> init_proc_;
   std::vector<std::unique_ptr<mem::BufferPool>> staging_pools_;
-  std::vector<std::unique_ptr<iser::IserSession>> sessions_;
-  std::vector<std::unique_ptr<iscsi::Target>> targets_;
-  std::vector<std::unique_ptr<iscsi::Initiator>> initiators_;
+  std::vector<std::unique_ptr<IscsiRig>> rigs_;  // one per IB link
   std::vector<std::unique_ptr<blk::RemoteBlockDevice>> lun_devices_;
   std::unique_ptr<blk::StripedBlockDevice> striped_;
 };

@@ -3,19 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <vector>
 
 #include "exp/runner.hpp"
 #include "fault/integrity.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
-#include "iser/session.hpp"
 #include "rdma/rdma.hpp"
 #include "testutil.hpp"
 
 namespace e2e::fault {
 namespace {
 
+using e2e::test::TinyIscsi;
 using e2e::test::TinyRig;
 using e2e::test::make_buffer;
 
@@ -86,37 +83,22 @@ TEST_F(QpRecoveryTest, ReestablishOnHealthyPairIsNoOpRecover) {
 /// PDUs retransmit instead of hanging the submitter).
 struct IserRecoveryTest : ::testing::Test {
   TinyRig rig;
-  std::unique_ptr<mem::Tmpfs> tgt_fs;
-  std::unique_ptr<iser::IserSession> session;
-  std::unique_ptr<mem::BufferPool> staging;
-  std::vector<std::unique_ptr<scsi::Lun>> luns;
-  std::unique_ptr<iscsi::Target> target;
-  std::unique_ptr<iscsi::Initiator> initiator;
+  std::unique_ptr<TinyIscsi> t;
+  iser::IserSession* session = nullptr;
+  iscsi::Initiator* initiator = nullptr;
   numa::Thread* ith = nullptr;
   numa::Thread* tth = nullptr;
 
-  void bring_up(iscsi::RetryPolicy policy,
-                sim::SimDuration command_timeout = 500 * sim::kMicrosecond) {
-    tgt_fs = std::make_unique<mem::Tmpfs>(*rig.b);
-    auto& f = tgt_fs->create("lun0", 8 << 20, numa::MemPolicy::kBind, 0);
-    luns.push_back(std::make_unique<scsi::Lun>(0, *tgt_fs, f));
-    session = std::make_unique<iser::IserSession>(
-        *rig.dev_a, *rig.dev_b, *rig.link, *rig.proc_a, *rig.proc_b);
-    staging = std::make_unique<mem::BufferPool>(
-        *rig.b, "staging", 4, 1 << 20, numa::MemPolicy::kBind, 0);
-    staging->mark_registered();
-    target = std::make_unique<iscsi::Target>(
-        *rig.proc_b, session->target_ep(),
-        std::vector<scsi::Lun*>{luns[0].get()}, *staging);
-    initiator = std::make_unique<iscsi::Initiator>(
-        *rig.proc_a, session->initiator_ep(), command_timeout, policy);
-    ith = &rig.proc_a->spawn_thread();
-    tth = &rig.proc_b->spawn_thread();
-    exp::run_task(rig.eng, session->start(*ith, *tth));
-    target->start(2);
-    iscsi::LoginParams params;
-    ASSERT_TRUE(exp::run_task(rig.eng, initiator->login(*ith, params)));
-    initiator->start_dispatcher(*ith);
+  void bring_up(iscsi::RetryPolicy policy) {
+    exp::IscsiRigConfig cfg;
+    cfg.command_timeout = 500 * sim::kMicrosecond;
+    cfg.policy = policy;
+    t = std::make_unique<TinyIscsi>(rig, 1, 8 << 20, cfg);
+    session = t->iscsi.iser();
+    initiator = &t->iscsi.initiator();
+    ith = t->ith;
+    tth = t->tth;
+    t->iscsi.run_start(*ith, *tth, 2);
   }
 };
 
@@ -133,8 +115,8 @@ TEST_F(IserRecoveryTest, SupervisorRecoversKilledSessionAndIoCompletes) {
   EXPECT_GE(session->recoveries(), 1u);
   EXPECT_TRUE(session->pair().alive());
   // The write executed exactly once despite command retransmissions.
-  EXPECT_EQ(luns[0]->written_digest(), fault::block_range_tag(0, 2048));
-  EXPECT_EQ(luns[0]->writes_executed(), 1u);
+  EXPECT_EQ(t->luns[0]->written_digest(), fault::block_range_tag(0, 2048));
+  EXPECT_EQ(t->luns[0]->writes_executed(), 1u);
 }
 
 TEST_F(IserRecoveryTest, ExhaustedRecoveryBudgetSurfacesTerminalError) {
@@ -152,7 +134,7 @@ TEST_F(IserRecoveryTest, ExhaustedRecoveryBudgetSurfacesTerminalError) {
       exp::run_task(rig.eng, initiator->submit_write(*ith, 0, 0, 2048, buf));
   EXPECT_EQ(status, scsi::Status::kTransportError);
   EXPECT_TRUE(session->abandoned());
-  EXPECT_EQ(luns[0]->writes_executed(), 0u);
+  EXPECT_EQ(t->luns[0]->writes_executed(), 0u);
 }
 
 TEST_F(IserRecoveryTest, CappedCommandRetriesNeverHangWithoutRecovery) {
@@ -191,8 +173,8 @@ TEST_F(IserRecoveryTest, CrashRefusesReloginsUntilRestartThenRecovers) {
   EXPECT_FALSE(session->abandoned());
   EXPECT_TRUE(session->pair().alive());
   // Command dedup across the crash epoch: the write landed exactly once.
-  EXPECT_EQ(luns[0]->writes_executed(), 1u);
-  EXPECT_EQ(luns[0]->written_digest(), fault::block_range_tag(0, 2048));
+  EXPECT_EQ(t->luns[0]->writes_executed(), 1u);
+  EXPECT_EQ(t->luns[0]->written_digest(), fault::block_range_tag(0, 2048));
 }
 
 TEST_F(IserRecoveryTest, PermanentCrashExhaustsBudgetAndAbandonsExactlyOnce) {
@@ -217,7 +199,7 @@ TEST_F(IserRecoveryTest, PermanentCrashExhaustsBudgetAndAbandonsExactlyOnce) {
   EXPECT_EQ(session->relogins_refused(),
             static_cast<std::uint64_t>(rp.max_attempts));
   EXPECT_EQ(session->recoveries(), 0u);
-  EXPECT_EQ(luns[0]->writes_executed(), 0u);
+  EXPECT_EQ(t->luns[0]->writes_executed(), 0u);
   rig.eng.run();
   EXPECT_TRUE(session->abandoned());
 }
@@ -249,7 +231,7 @@ TEST_F(IserRecoveryTest, LossBurstIsAbsorbedByCommandRetries) {
       exp::run_task(rig.eng, initiator->submit_write(*ith, 0, 0, 2048, buf));
   EXPECT_EQ(status, scsi::Status::kGood);
   EXPECT_GE(initiator->command_retries(), 1u);
-  EXPECT_EQ(luns[0]->written_digest(), fault::block_range_tag(0, 2048));
+  EXPECT_EQ(t->luns[0]->written_digest(), fault::block_range_tag(0, 2048));
 }
 
 }  // namespace

@@ -3,9 +3,6 @@
 #include <memory>
 
 #include "exp/runner.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
-#include "iser/session.hpp"
 #include "testutil.hpp"
 
 namespace e2e::iscsi {
@@ -16,45 +13,22 @@ using e2e::test::make_buffer;
 
 struct IserRig : ::testing::Test {
   TinyRig rig;
-  std::unique_ptr<mem::Tmpfs> tgt_fs;
-  std::unique_ptr<iser::IserSession> session;
-  std::unique_ptr<mem::BufferPool> staging;
-  std::vector<std::unique_ptr<scsi::Lun>> luns;
-  std::unique_ptr<Target> target;
-  std::unique_ptr<Initiator> initiator;
+  exp::IscsiRigConfig cfg;  // derived rigs adjust it before SetUp()
+  std::unique_ptr<test::TinyIscsi> t;
+  iser::IserSession* session = nullptr;
+  Target* target = nullptr;
+  Initiator* initiator = nullptr;
   numa::Thread* ith = nullptr;
-  numa::Thread* tth = nullptr;
 
   void SetUp() override {
-    tgt_fs = std::make_unique<mem::Tmpfs>(*rig.b);
-    for (int l = 0; l < 2; ++l) {
-      auto& f = tgt_fs->create("lun" + std::to_string(l), 8 << 20,
-                               numa::MemPolicy::kBind, 0);
-      luns.push_back(std::make_unique<scsi::Lun>(l, *tgt_fs, f));
-    }
-    session = std::make_unique<iser::IserSession>(
-        *rig.dev_a, *rig.dev_b, *rig.link, *rig.proc_a, *rig.proc_b);
-    staging = std::make_unique<mem::BufferPool>(
-        *rig.b, "staging", 4, 1 << 20, numa::MemPolicy::kBind, 0);
-    staging->mark_registered();
-    std::vector<scsi::Lun*> lun_ptrs;
-    for (auto& l : luns) lun_ptrs.push_back(l.get());
-    target = std::make_unique<Target>(*rig.proc_b, session->target_ep(),
-                                      lun_ptrs, *staging);
-    initiator =
-        std::make_unique<Initiator>(*rig.proc_a, session->initiator_ep());
-    ith = &rig.proc_a->spawn_thread();
-    tth = &rig.proc_b->spawn_thread();
+    t = std::make_unique<test::TinyIscsi>(rig, 2, 8 << 20, cfg);
+    session = t->iscsi.iser();
+    target = &t->iscsi.target();
+    initiator = &t->iscsi.initiator();
+    ith = t->ith;
   }
 
-  void bring_up(int workers = 2) {
-    exp::run_task(rig.eng, session->start(*ith, *tth));
-    target->start(workers);
-    LoginParams params;
-    const bool ok = exp::run_task(rig.eng, initiator->login(*ith, params));
-    ASSERT_TRUE(ok);
-    initiator->start_dispatcher(*ith);
-  }
+  void bring_up(int workers = 2) { t->iscsi.run_start(*ith, *t->tth, workers); }
 };
 
 TEST_F(IserRig, LoginNegotiates) {
@@ -76,7 +50,7 @@ TEST_F(IserRig, ReadMovesDataFromLunToInitiator) {
   const auto status = exp::run_task(
       rig.eng, initiator->submit_read(*ith, 0, 0, 2048, buf));
   EXPECT_EQ(status, scsi::Status::kGood);
-  EXPECT_EQ(luns[0]->backing().bytes_read, 2048u * 512);
+  EXPECT_EQ(t->luns[0]->backing().bytes_read, 2048u * 512);
   EXPECT_EQ(target->bytes_out(), 2048u * 512);
   EXPECT_EQ(initiator->tasks_completed(), 1u);
 }
@@ -87,7 +61,7 @@ TEST_F(IserRig, WriteMovesDataFromInitiatorToLun) {
   const auto status = exp::run_task(
       rig.eng, initiator->submit_write(*ith, 1, 0, 2048, buf));
   EXPECT_EQ(status, scsi::Status::kGood);
-  EXPECT_EQ(luns[1]->backing().bytes_written, 2048u * 512);
+  EXPECT_EQ(t->luns[1]->backing().bytes_written, 2048u * 512);
   EXPECT_EQ(target->bytes_in(), 2048u * 512);
 }
 
@@ -98,10 +72,10 @@ TEST_F(IserRig, LargeTransfersSegmentThroughStaging) {
   const auto status = exp::run_task(
       rig.eng, initiator->submit_read(*ith, 0, 0, 8192, buf));
   EXPECT_EQ(status, scsi::Status::kGood);
-  EXPECT_EQ(luns[0]->backing().bytes_read, 4u << 20);
+  EXPECT_EQ(t->luns[0]->backing().bytes_read, 4u << 20);
   // All staging buffers returned to the pool once the engine drains.
   rig.eng.run();
-  EXPECT_EQ(staging->available(), staging->capacity());
+  EXPECT_EQ(t->staging.available(), t->staging.capacity());
 }
 
 TEST_F(IserRig, UnknownLunIsCheckCondition) {
@@ -180,13 +154,8 @@ TEST_F(IserRig, DataOpsUseRdmaNotCpuOnInitiator) {
 }
 
 struct RetryRig : IserRig {
-  // Rebuild the initiator with a command timeout so lost control PDUs are
-  // retransmitted.
-  void SetUp() override {
-    IserRig::SetUp();
-    initiator = std::make_unique<Initiator>(
-        *rig.proc_a, session->initiator_ep(), 5 * sim::kMillisecond);
-  }
+  // A command timeout, so lost control PDUs are retransmitted.
+  RetryRig() { cfg.command_timeout = 5 * sim::kMillisecond; }
 };
 
 TEST_F(RetryRig, LostCommandIsRetransmitted) {
@@ -215,7 +184,7 @@ TEST_F(RetryRig, LostResponseIsReplayedNotReexecuted) {
   EXPECT_EQ(status, scsi::Status::kGood);
   EXPECT_GE(initiator->command_retries(), 1u);
   EXPECT_EQ(target->tasks_served(), 1u);  // duplicate suppressed
-  EXPECT_EQ(luns[0]->backing().bytes_written, 2048u * 512);  // once!
+  EXPECT_EQ(t->luns[0]->backing().bytes_written, 2048u * 512);  // once!
 }
 
 TEST_F(RetryRig, NoTimeoutMeansNoRetries) {
@@ -226,15 +195,8 @@ TEST_F(RetryRig, NoTimeoutMeansNoRetries) {
 }
 
 struct RoutedTargetRig : IserRig {
-  // Rebuild the target with the libnuma-style per-request scheduler.
-  void SetUp() override {
-    IserRig::SetUp();
-    std::vector<scsi::Lun*> lun_ptrs;
-    for (auto& l : luns) lun_ptrs.push_back(l.get());
-    target = std::make_unique<Target>(*rig.proc_b, session->target_ep(),
-                                      lun_ptrs, *staging,
-                                      TargetSched::kNumaRouted);
-  }
+  // The target runs the libnuma-style per-request scheduler.
+  RoutedTargetRig() { cfg.sched = TargetSched::kNumaRouted; }
 };
 
 TEST_F(RoutedTargetRig, NumaRoutedTargetServesIo) {

@@ -5,8 +5,6 @@
 #include <memory>
 
 #include "exp/runner.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
 #include "testutil.hpp"
 
 namespace e2e::iscsi {
@@ -18,41 +16,26 @@ using metrics::CpuCategory;
 
 struct TcpIscsiRig : ::testing::Test {
   TinyRig rig;
-  std::unique_ptr<mem::Tmpfs> tgt_fs;
-  std::unique_ptr<TcpSession> session;
-  std::unique_ptr<mem::BufferPool> staging;
-  std::vector<std::unique_ptr<scsi::Lun>> luns;
-  std::unique_ptr<Target> target;
-  std::unique_ptr<Initiator> initiator;
+  std::unique_ptr<test::TinyIscsi> t;
+  TcpSession* session = nullptr;
+  Target* target = nullptr;
+  Initiator* initiator = nullptr;
   numa::Thread* ith = nullptr;
-  numa::Thread* tth = nullptr;
 
   void SetUp() override {
-    tgt_fs = std::make_unique<mem::Tmpfs>(*rig.b);
-    auto& f = tgt_fs->create("lun0", 8 << 20, numa::MemPolicy::kBind, 0);
-    luns.push_back(std::make_unique<scsi::Lun>(0, *tgt_fs, f));
-    session = std::make_unique<TcpSession>(*rig.a, 0, *rig.b, 0, *rig.link,
-                                           *rig.proc_a, *rig.proc_b);
-    staging = std::make_unique<mem::BufferPool>(
-        *rig.b, "staging", 4, 1 << 20, numa::MemPolicy::kBind, 0);
-    target = std::make_unique<Target>(*rig.proc_b, session->target_ep(),
-                                      std::vector<scsi::Lun*>{luns[0].get()},
-                                      *staging);
-    initiator =
-        std::make_unique<Initiator>(*rig.proc_a, session->initiator_ep());
-    ith = &rig.proc_a->spawn_thread();
-    tth = &rig.proc_b->spawn_thread();
+    exp::IscsiRigConfig cfg;
+    cfg.transport = exp::Transport::kTcp;
+    t = std::make_unique<test::TinyIscsi>(rig, 1, 8 << 20, cfg);
+    session = t->iscsi.tcp();
+    target = &t->iscsi.target();
+    initiator = &t->iscsi.initiator();
+    ith = t->ith;
   }
 
   void bring_up() {
     numa::Thread& itx = rig.proc_a->spawn_thread();
     numa::Thread& ttx = rig.proc_b->spawn_thread();
-    exp::run_task(rig.eng,
-                  session->start(*ith, itx, *tth, ttx));
-    target->start(2);
-    LoginParams params;
-    ASSERT_TRUE(exp::run_task(rig.eng, initiator->login(*ith, params)));
-    initiator->start_dispatcher(*ith);
+    t->iscsi.run_start(*ith, *t->tth, 2, &itx, &ttx);
   }
 };
 
@@ -67,7 +50,7 @@ TEST_F(TcpIscsiRig, ReadStreamsDataInPdus) {
   const auto status = exp::run_task(
       rig.eng, initiator->submit_read(*ith, 0, 0, 2048, buf));
   EXPECT_EQ(status, scsi::Status::kGood);
-  EXPECT_EQ(luns[0]->backing().bytes_read, 2048u * 512);
+  EXPECT_EQ(t->luns[0]->backing().bytes_read, 2048u * 512);
   // 1 MiB moved in 256 KiB Data-In segments.
   EXPECT_EQ(session->target_ep().data_pdus(), 4u);
 }
@@ -78,7 +61,7 @@ TEST_F(TcpIscsiRig, WriteUsesR2TDataOutFlow) {
   const auto status = exp::run_task(
       rig.eng, initiator->submit_write(*ith, 0, 0, 2048, buf));
   EXPECT_EQ(status, scsi::Status::kGood);
-  EXPECT_EQ(luns[0]->backing().bytes_written, 2048u * 512);
+  EXPECT_EQ(t->luns[0]->backing().bytes_written, 2048u * 512);
   // The initiator answered the R2T with Data-Out segments.
   EXPECT_EQ(session->initiator_ep().data_pdus(), 4u);
 }
@@ -103,9 +86,9 @@ TEST_F(TcpIscsiRig, LargeIoSegmentsThroughStaging) {
   const auto status = exp::run_task(
       rig.eng, initiator->submit_read(*ith, 0, 0, 8192, buf));
   EXPECT_EQ(status, scsi::Status::kGood);
-  EXPECT_EQ(luns[0]->backing().bytes_read, 4u << 20);
+  EXPECT_EQ(t->luns[0]->backing().bytes_read, 4u << 20);
   rig.eng.run();
-  EXPECT_EQ(staging->available(), staging->capacity());
+  EXPECT_EQ(t->staging.available(), t->staging.capacity());
 }
 
 TEST_F(TcpIscsiRig, ConcurrentMixedIoCompletes) {

@@ -10,18 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "exp/runner.hpp"
 #include "fault/integrity.hpp"
-#include "iscsi/initiator.hpp"
-#include "iscsi/target.hpp"
-#include "iser/session.hpp"
-#include "mem/buffer_pool.hpp"
-#include "mem/tmpfs.hpp"
 #include "tcp/connection.hpp"
 #include "testutil.hpp"
 #include "trace/tracer.hpp"
@@ -44,30 +37,10 @@ TraceRun run_iser_scenario() {
   tracer.install();
   tracer.enable_resource_sampler(sim::kMillisecond);
 
-  mem::Tmpfs fs(*rig.b);
-  std::vector<std::unique_ptr<scsi::Lun>> luns;
-  for (int l = 0; l < 2; ++l) {
-    auto& f = fs.create("lun" + std::to_string(l), 8 << 20,
-                        numa::MemPolicy::kBind, 0);
-    luns.push_back(std::make_unique<scsi::Lun>(l, fs, f));
-  }
-  iser::IserSession session(*rig.dev_a, *rig.dev_b, *rig.link, *rig.proc_a,
-                            *rig.proc_b);
-  mem::BufferPool staging(*rig.b, "staging", 4, 1 << 20,
-                          numa::MemPolicy::kBind, 0);
-  staging.mark_registered();
-  std::vector<scsi::Lun*> lun_ptrs;
-  for (auto& l : luns) lun_ptrs.push_back(l.get());
-  iscsi::Target target(*rig.proc_b, session.target_ep(), lun_ptrs, staging);
-  iscsi::Initiator initiator(*rig.proc_a, session.initiator_ep());
-  numa::Thread& ith = rig.proc_a->spawn_thread();
-  numa::Thread& tth = rig.proc_b->spawn_thread();
-
-  exp::run_task(rig.eng, session.start(ith, tth));
-  target.start(2);
-  iscsi::LoginParams params;
-  EXPECT_TRUE(exp::run_task(rig.eng, initiator.login(ith, params)));
-  initiator.start_dispatcher(ith);
+  test::TinyIscsi t(rig, 2, 8 << 20);
+  numa::Thread& ith = *t.ith;
+  t.iscsi.run_start(ith, *t.tth, 2);
+  iscsi::Initiator& initiator = t.iscsi.initiator();
 
   auto buf = test::make_buffer(*rig.a, 4 << 20, 0);
   EXPECT_EQ(exp::run_task(rig.eng, initiator.submit_read(ith, 0, 0, 2048, buf)),
