@@ -140,7 +140,8 @@ struct Options {
       "  --audit 0|1      cross-layer invariant audits (default: on in\n"
       "                   Debug builds, off in Release)\n"
       "  --stats 0|1      per-entity metrics + flight recorder (default: on)\n"
-      "  --stats-out FILE write the stats dump (.csv -> CSV, else JSON)\n"
+      "  --stats-out FILE write the stats dump (.csv -> CSV, else JSON);\n"
+      "                   needs --stats 1\n"
       "  --fast-forward 0|1  collapse proven steady-state bulk phases into\n"
       "                   closed-form spans (default 0 = event-exact; final\n"
       "                   metrics are identical either way; 1 only for\n"
@@ -288,6 +289,11 @@ Options parse(int argc, char** argv) {
     if ((f->read_by & o.bit) != 0 || (ff && !o.fast_forward)) continue;
     std::fprintf(stderr, "%s does not support %s%s\n", o.scenario.c_str(),
                  f->name, ff ? " 1" : "");
+    usage();
+  }
+  // With the registry off there is no stats dump to write.
+  if (!o.stats && !o.stats_out.empty()) {
+    std::fprintf(stderr, "--stats-out needs --stats 1\n");
     usage();
   }
   return o;
