@@ -103,6 +103,8 @@ struct RftpChaosOutcome {
   rftp::TransferResult result;
   std::uint64_t failovers = 0;
   std::uint64_t retransmissions = 0;
+  std::uint64_t duplicate_blocks = 0;
+  std::uint64_t checksum_failures = 0;
   std::uint64_t faults_injected = 0;
   Observers::Captured observed;
 };
@@ -116,8 +118,32 @@ FaultPlan rftp_chaos_plan(std::uint64_t seed, std::uint64_t total) {
                     kRftpStreams);
 }
 
+/// /dev/null held for `hold` per block. On its `scribble_at`-th drain
+/// (1-based; 0 never) it also leaves a stray write in the landing buffer,
+/// so the next block to land there fails its checksum at the sink.
+class FaultySink final : public rftp::DataSink {
+ public:
+  FaultySink(sim::SimDuration hold, int scribble_at)
+      : hold_(hold), scribble_at_(scribble_at) {}
+
+  sim::Task<> drain(numa::Thread& th, mem::Buffer& buf, std::uint64_t offset,
+                    std::uint64_t len) override {
+    co_await null_.drain(th, buf, offset, len);
+    co_await sim::Delay{th.host().engine(), hold_};
+    if (++drains_ == scribble_at_) buf.content_tag ^= 0x5a5a5a5a5a5a5a5aull;
+  }
+
+ private:
+  rftp::NullSink null_;
+  sim::SimDuration hold_;
+  int scribble_at_;
+  int drains_ = 0;
+};
+
+/// `sink` replaces the default /dev/null sink when given.
 RftpChaosOutcome run_rftp_chaos(const FaultPlan& plan, std::uint64_t total,
-                                bool observe) {
+                                bool observe,
+                                rftp::DataSink* sink = nullptr) {
   TinyRig rig;
   // Full invariant audit rides along on every chaos run: faulted paths are
   // exactly where conservation bugs hide.
@@ -137,12 +163,15 @@ RftpChaosOutcome run_rftp_chaos(const FaultPlan& plan, std::uint64_t total,
   inj.arm();
 
   rftp::ZeroSource src(total);
-  rftp::NullSink dst;
+  rftp::NullSink null_sink;
   RftpChaosOutcome out;
-  out.result = exp::run_task(rig.eng, sess.run(src, dst, total));
+  out.result = exp::run_task(
+      rig.eng, sess.run(src, sink != nullptr ? *sink : null_sink, total));
   rig.eng.run();  // drain any fault events scheduled past the transfer
   out.failovers = sess.failovers;
   out.retransmissions = sess.retransmissions;
+  out.duplicate_blocks = sess.duplicate_blocks;
+  out.checksum_failures = sess.checksum_failures;
   out.faults_injected = inj.faults_injected();
   audit.finalize();
   EXPECT_TRUE(audit.ok()) << audit_report(audit);
@@ -310,11 +339,13 @@ TEST(ChaosTcp, MultiGbWriteWorkloadSurvivesSeededPlan) {
 // ---------------------------------------------------------------------------
 // Observer pin: fixed-seed runs of every mode, plus one crash plan, a lossy
 // TCP connection, an RNR stall, a slow-but-alive RFTP peer, two iSER
-// give-ups and an iSER read that loses Data-In, with the tracer and the
-// stats registry installed. The Chrome trace, the stats JSON and the full
-// flight stream are hashed whole (fault::fnv1a), so any change to how the
-// layers instrument themselves must reproduce every byte. The seeds are fixed
-// (not E2E_CHAOS_SEED): these are goldens, not a sweep.
+// give-ups, an iSER read that loses Data-In, an RFTP stream killed while
+// its sink still holds a delivered block and an RFTP sink that corrupts a
+// landing buffer, with the tracer and the stats registry installed. The
+// Chrome trace, the stats JSON and the full flight stream are hashed whole
+// (fault::fnv1a), so any change to how the layers instrument themselves
+// must reproduce every byte. The seeds are fixed (not E2E_CHAOS_SEED):
+// these are goldens, not a sweep.
 
 /// Distinct flight codes in a dump_flight() stream: each record line ends
 /// "<entity> <code> arg=<n>".
@@ -433,6 +464,18 @@ TEST(ObserverPin, ChaosRunsReproduceTraceStatsAndFlightBytes) {
   loss.qp_kills = 0;
   const auto iser_read = run_iscsi_chaos(
       exp::Transport::kIser, FaultPlan::random(kSeed, loss), 16, true, true);
+  // A stream killed while its sink still holds a delivered block: the kill
+  // requeues the unconfirmed block, the dead stream's drainer finishes it
+  // anyway, and the survivor's re-send lands as a duplicate.
+  FaultySink holding(2 * sim::kMillisecond, 0);
+  const auto dup = run_rftp_chaos(FaultPlan::parse("qpkill@30ms:qp=1"),
+                                  total, true, &holding);
+  // A stray write into a landing buffer: the next block to land there
+  // fails its checksum and is re-sent. No fault plan can do this — a
+  // corrupted message is a failed send the sender sees, never a bad
+  // landing — so the sink plants the stray write itself.
+  FaultySink scribbler(0, 5);
+  const auto corrupt = run_rftp_chaos(FaultPlan{}, total, true, &scribbler);
   ASSERT_TRUE(rftp.result.complete);
   ASSERT_TRUE(crash.result.complete);
   ASSERT_EQ(crash.result.crashes, 1u);
@@ -442,6 +485,12 @@ TEST(ObserverPin, ChaosRunsReproduceTraceStatsAndFlightBytes) {
   ASSERT_EQ(iser_read.bad, 0);
   ASSERT_GT(iser_read.data_losses, 0u);
   ASSERT_GT(iser_read.digest_errors, 0u);
+  ASSERT_TRUE(dup.result.complete);
+  ASSERT_TRUE(dup.result.integrity_ok);
+  ASSERT_GT(dup.duplicate_blocks, 0u);
+  ASSERT_TRUE(corrupt.result.complete);
+  ASSERT_FALSE(corrupt.result.integrity_ok);  // the corruption was seen
+  ASSERT_EQ(corrupt.checksum_failures, 1u);
 
   expect_pinned("rftp", rftp.observed,
                 {14561560944262430103ull, 3320739935275370322ull,
@@ -473,24 +522,30 @@ TEST(ObserverPin, ChaosRunsReproduceTraceStatsAndFlightBytes) {
   expect_pinned("iser-read-loss", iser_read.observed,
                 {5706993441865629440ull, 16289637923077592857ull,
                  11195290070567631663ull});
+  expect_pinned("rftp-dup", dup.observed,
+                {5239771785012957435ull, 16480293097310280790ull,
+                 9748496144141323938ull});
+  expect_pinned("rftp-corrupt", corrupt.observed,
+                {13487225939056353347ull, 1562630827351375710ull,
+                 1776729601440129916ull});
 
-  // Which of the 24 instrumented flight codes these runs reach; dup-block
-  // and checksum-mismatch are not.
+  // These runs reach all 24 instrumented flight codes.
   std::set<std::string> reached;
   for (const auto* o : {&rftp.observed, &crash.observed, &iser.observed,
                         &tcp.observed, &lossy, &rnr, &slow.observed,
                         &iser_crash.observed, &iser_hole.observed,
-                        &iser_read.observed})
+                        &iser_read.observed, &dup.observed,
+                        &corrupt.observed})
     reached.merge(flight_codes(o->flight));
   const std::set<std::string> want{
       "block-drained",     "block-filled",     "block-posted",
-      "command-abandoned", "command-retry",    "crash",
-      "data-abort",        "data-loss",        "data-retry",
-      "false-suspect",     "grant-retransmit", "loss",
-      "qp-kill",           "qp-recover",       "resume",
-      "retransmit",        "rnr",              "rx-drop",
-      "session-abandoned", "stream-dead",      "wire-failure",
-      "wr-flush"};
+      "checksum-mismatch", "command-abandoned", "command-retry",
+      "crash",             "data-abort",        "data-loss",
+      "data-retry",        "dup-block",         "false-suspect",
+      "grant-retransmit",  "loss",              "qp-kill",
+      "qp-recover",        "resume",            "retransmit",
+      "rnr",               "rx-drop",           "session-abandoned",
+      "stream-dead",       "wire-failure",      "wr-flush"};
   EXPECT_EQ(reached, want);
 }
 

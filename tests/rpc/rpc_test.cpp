@@ -1,12 +1,15 @@
 // rpc layer unit tests: recv-ring exhaustion surfaces as an RNR stall (not
 // a drop or an error), completion batching flushes a lone CQE immediately
-// on an idle endpoint, and the call-slot generation wraps 0xFFFF -> 1 with
-// the documented 65535-recycle ABA window.
+// on an idle endpoint, unanswered calls are re-sent on their own deadlines
+// until they fail, and the call-slot generation wraps 0xFFFF -> 1 with the
+// documented 65535-recycle ABA window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "mem/msg_pool.hpp"
@@ -37,6 +40,27 @@ class EchoHandler final : public RpcServer::Handler {
   }
 };
 
+/// Echoes the requests `answer` accepts; every other request parks its
+/// handler coroutine forever, so that call is never answered.
+class SelectiveHandler final : public RpcServer::Handler {
+ public:
+  SelectiveHandler(sim::Engine& eng, std::function<bool(std::uint64_t)> answer)
+      : never_(eng), answer_(std::move(answer)) {}
+
+  sim::Task<RpcServer::Reply> handle(const RpcServer::Request& req) override {
+    const auto* ping = req.payload.as<Ping>();
+    if (ping == nullptr || !answer_(ping->seq)) co_await never_.wait();
+    RpcServer::Reply r;
+    r.bytes = req.bytes;
+    r.payload = req.payload;
+    co_return r;
+  }
+
+ private:
+  sim::ManualEvent never_;
+  std::function<bool(std::uint64_t)> answer_;
+};
+
 struct RpcRig : ::testing::Test {
   TinyRig rig;
   std::unique_ptr<rdma::ConnectedPair> cp;
@@ -44,6 +68,7 @@ struct RpcRig : ::testing::Test {
   numa::Thread* tb = nullptr;
   mem::Buffer ring_a{}, ring_b{};
   EchoHandler echo;
+  RpcServer::Handler* handler = &echo;  // what build() serves with
   std::unique_ptr<RpcClient> client;
   std::unique_ptr<RpcServer> server;
 
@@ -56,7 +81,8 @@ struct RpcRig : ::testing::Test {
     ring_a = make_buffer(*rig.a, 1 << 20, 0);
     ring_b = make_buffer(*rig.b, 1 << 20, 0);
     client = std::make_unique<RpcClient>(cp->a(), *ta, *ta, ring_a, cfg);
-    server = std::make_unique<RpcServer>(cp->b(), *tb, *tb, ring_b, echo, cfg);
+    server =
+        std::make_unique<RpcServer>(cp->b(), *tb, *tb, ring_b, *handler, cfg);
     exp::run_task(rig.eng, up());
   }
 
@@ -71,6 +97,28 @@ struct RpcRig : ::testing::Test {
     const auto rep = co_await client->call(bytes, mem::make_msg<Ping>(Ping{seq}));
     if (rep.ok) ++*ok_count;
     --*live;
+  }
+
+  /// One call issued `after` from now; notes the instant it returns.
+  sim::Task<> timed_call(sim::SimDuration after, std::uint64_t seq, bool* ok,
+                         sim::SimTime* issued, sim::SimTime* returned) {
+    co_await sim::Delay{rig.eng, after};
+    *issued = rig.eng.now();
+    const auto rep = co_await client->call(256, mem::make_msg<Ping>(Ping{seq}));
+    *ok = rep.ok;
+    *returned = rig.eng.now();
+  }
+
+  /// Runs the engine dry one instant at a time and returns every instant
+  /// at which the client re-sent a request (one entry per re-send).
+  std::vector<sim::SimTime> run_noting_resends() {
+    std::vector<sim::SimTime> at;
+    std::uint64_t seen = client->retries();
+    while (!rig.eng.idle()) {
+      rig.eng.run_until(rig.eng.next_event_time());
+      for (; seen < client->retries(); ++seen) at.push_back(rig.eng.now());
+    }
+    return at;
   }
 
   sim::Task<> serial_calls(std::uint64_t n, sim::SimTime* worst) {
@@ -156,6 +204,38 @@ TEST_F(RpcRig, PipelinedCallsCoalesceDoorbells) {
   // doorbells: strictly fewer doorbells than WRs.
   EXPECT_EQ(client->doorbell_wrs(), 64u);
   EXPECT_LT(client->doorbells(), client->doorbell_wrs());
+}
+
+TEST_F(RpcRig, UnansweredCallsResendOnTheirOwnDeadlines) {
+  SelectiveHandler silent(rig.eng, [](std::uint64_t) { return false; });
+  handler = &silent;
+  RpcConfig cfg;
+  cfg.max_retries = 3;
+  build(cfg);
+  const sim::SimTime t0 = rig.eng.now();
+  constexpr sim::SimDuration kR = 5 * sim::kMillisecond;  // retry_after
+  constexpr sim::SimDuration kGap = 2 * sim::kMillisecond;
+  bool ok_a = true, ok_b = true;
+  sim::SimTime issued_a = 0, issued_b = 0, failed_a = 0, failed_b = 0;
+  sim::co_spawn(timed_call(0, 0, &ok_a, &issued_a, &failed_a));
+  sim::co_spawn(timed_call(kGap, 1, &ok_b, &issued_b, &failed_b));
+  const auto resends = run_noting_resends();
+  ASSERT_EQ(issued_a, t0);
+  ASSERT_EQ(issued_b, t0 + kGap);
+  // Every re-send lands exactly on issued_at + k * retry_after, the two
+  // calls interleaving by deadline; the firing past max_retries fails the
+  // call instead of re-sending it.
+  EXPECT_EQ(resends,
+            (std::vector<sim::SimTime>{t0 + kR, t0 + kGap + kR, t0 + 2 * kR,
+                                       t0 + kGap + 2 * kR, t0 + 3 * kR,
+                                       t0 + kGap + 3 * kR}));
+  EXPECT_EQ(client->retries(), 6u);
+  EXPECT_EQ(client->calls_failed(), 2u);
+  EXPECT_FALSE(ok_a);
+  EXPECT_FALSE(ok_b);
+  EXPECT_EQ(failed_a, t0 + 4 * kR);
+  EXPECT_EQ(failed_b, t0 + kGap + 4 * kR);
+  EXPECT_EQ(server->calls_served(), 0u);
 }
 
 TEST(CallTableTest, GenerationWrapsSkippingZero) {
