@@ -100,32 +100,67 @@ sim::Task<RpcClient::Reply> RpcClient::call(std::uint64_t req_bytes,
   c.issued_at = qp_.device().host().engine().now();
   ++calls_issued_;
   out_.send(request_wr(c));
-  arm_retry(c.id);
+  arm_retry(c);
   co_await c.done.wait();
   Reply r{c.ok, c.resp_bytes, std::move(c.response)};
   table_.end(c);
+  pop_dead_entries();
   window_.release();
   co_return r;
 }
 
-void RpcClient::arm_retry(std::uint32_t id) {
+void RpcClient::arm_retry(CallTable::Call& c) {
   if (cfg_.retry_after == 0) return;
-  qp_.device().host().engine().schedule_after(
-      cfg_.retry_after, [this, id] { on_retry_timer(id); });
+  c.retry_deadline = sim::Engine::saturating_add(
+      qp_.device().host().engine().now(), cfg_.retry_after);
+  retries_due_.push_back(RetryEntry{c.retry_deadline, c.id});
+  arm_timer();
 }
 
-void RpcClient::on_retry_timer(std::uint32_t id) {
-  CallTable::Call* c = table_.find(id);
-  if (c == nullptr || c->done.is_set()) return;  // stale generation / done
-  if (++c->retries > cfg_.max_retries) {
+void RpcClient::arm_timer() {
+  if (timer_armed_ || retries_due_.empty()) return;
+  timer_armed_ = true;
+  qp_.device().host().engine().schedule_at(retries_due_.front().deadline,
+                                           [this] { on_deadline(); });
+}
+
+CallTable::Call* RpcClient::live_call(const RetryEntry& e) noexcept {
+  CallTable::Call* c = table_.find(e.id);
+  if (c == nullptr || c->done.is_set() || c->retry_deadline != e.deadline)
+    return nullptr;  // stale generation / answered / re-armed since
+  return c;
+}
+
+void RpcClient::pop_dead_entries() {
+  while (!retries_due_.empty() && live_call(retries_due_.front()) == nullptr)
+    retries_due_.pop_front();
+}
+
+void RpcClient::on_deadline() {
+  // Every expired entry, in FIFO (= deadline, then issue) order. The timer
+  // stays marked armed meanwhile, so a re-send only queues its new entry;
+  // that deadline is a full retry_after away, which ends the loop.
+  const sim::SimTime now = qp_.device().host().engine().now();
+  while (!retries_due_.empty() && retries_due_.front().deadline <= now) {
+    const RetryEntry e = retries_due_.front();
+    retries_due_.pop_front();
+    if (CallTable::Call* c = live_call(e)) on_retry_timer(*c);
+  }
+  timer_armed_ = false;
+  pop_dead_entries();
+  arm_timer();
+}
+
+void RpcClient::on_retry_timer(CallTable::Call& c) {
+  if (++c.retries > cfg_.max_retries) {
     ++calls_failed_;
-    c->ok = false;
-    c->done.set();
+    c.ok = false;
+    c.done.set();
     return;
   }
   ++retries_;
-  out_.send(request_wr(*c));
-  arm_retry(id);
+  out_.send(request_wr(c));
+  arm_retry(c);
 }
 
 sim::Task<> RpcClient::send_pump() {

@@ -27,9 +27,16 @@
 // original response eventually arrives, or a response outliving its
 // connection epoch — drop cleanly instead of completing a recycled slot
 // (the PR 4 flat-table shape, sized down to the id space an immediate
-// affords). Lost requests are re-sent by a per-call timer armed at issue
-// time; a stale timer firing after completion resolves to a dead
-// generation and no-ops.
+// affords).
+//
+// Lost requests are re-sent from one retry deadline queue per client: a
+// reused ring of (deadline, call id) entries in issue order, behind at
+// most one engine timer armed at the earliest deadline still pending. A
+// call answered in microseconds therefore costs a ring push and pop, not a
+// 5 ms timer event parked in the engine heap. An entry is live only while
+// its id resolves to an unanswered call armed for that same deadline, so
+// an entry outliving its call — a recycled slot, a wrapped generation, a
+// re-armed retry — never fires early.
 //
 // Servers are coroutine-per-call: the reaper spawns one handler coroutine
 // per request, so a handler that suspends (NUMA-remote copies, nested
@@ -44,6 +51,7 @@
 #include "mem/msg_pool.hpp"
 #include "numa/thread.hpp"
 #include "rdma/qp.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -55,12 +63,13 @@ struct RpcConfig {
   std::size_t window = 16;         // client-side outstanding-call cap
   std::size_t doorbell_batch = 4;  // max WRs coalesced behind one doorbell
   std::uint64_t header_bytes = 64;  // wire bytes of the rpc header itself
-  // Per-call retry timer: a call unanswered after this long is re-sent
-  // (lost request, flushed send, dropped response). 0 disables retries.
+  // Retry deadline: a call unanswered this long after it was (re-)sent is
+  // re-sent (lost request, flushed send, dropped response), so re-sends
+  // land at issued_at + k * retry_after. 0 disables retries.
   sim::SimDuration retry_after = 5 * sim::kMillisecond;
-  // Timer firings before the call completes with ok=false. Generous: under
-  // chaos the QP may sit in the error state across several periods while
-  // a supervisor re-establishes it.
+  // Expired deadlines before the call completes with ok=false. Generous:
+  // under chaos the QP may sit in the error state across several periods
+  // while a supervisor re-establishes it.
   int max_retries = 256;
 };
 
@@ -69,9 +78,9 @@ struct RpcConfig {
 /// through a free list; release bumps the generation (wrapping 0xFFFF -> 1,
 /// generation 0 is never issued so id 0 can serve as a null sentinel), and
 /// find() resolves an id only while its generation is current. The ABA
-/// window is a full 65535 recycles of one slot — and a wrapped id is only
-/// dangerous if the original call is *still* outstanding then, which the
-/// window cap makes impossible.
+/// window is a full 65535 recycles of one slot: a wrapped id resolves again,
+/// so whoever holds an old id past that must check more than find() (the
+/// client's retry queue also matches the call's armed deadline).
 class CallTable {
  public:
   static constexpr std::size_t kMaxSlots = 1ull << 16;
@@ -89,6 +98,8 @@ class CallTable {
     mem::MsgPtr response;
     int retries = 0;
     sim::SimTime issued_at = 0;
+    // Deadline of the call's live retry-queue entry (0: none armed).
+    sim::SimTime retry_deadline = 0;
   };
 
   explicit CallTable(sim::Engine& eng) : eng_(eng) {}
@@ -117,6 +128,7 @@ class CallTable {
     c.resp_bytes = 0;
     c.retries = 0;
     c.issued_at = 0;
+    c.retry_deadline = 0;
     return c;
   }
 
@@ -130,8 +142,8 @@ class CallTable {
     return (s.live && s.gen == gen) ? s.call.get() : nullptr;
   }
 
-  /// Releases the call's slot; its id (and any timer holding it) goes
-  /// stale. The generation wraps past 0xFFFF back to 1.
+  /// Releases the call's slot; its id (and any retry entry holding it)
+  /// goes stale. The generation wraps past 0xFFFF back to 1.
   void end(Call& c) noexcept {
     const std::uint32_t idx = c.id >> 16;
     Slot& s = slots_[idx];
@@ -161,7 +173,7 @@ class CallTable {
 
 /// Client endpoint: issues calls over one QueuePair, with windowed
 /// admission, doorbell-batched request posting, batched completion
-/// reaping, ring refill and per-call retry timers.
+/// reaping, ring refill and one retry deadline queue.
 class RpcClient {
  public:
   struct Reply {
@@ -215,9 +227,21 @@ class RpcClient {
   sim::Task<> send_reaper();
   sim::Task<> recv_reaper();
   void on_response(const rdma::WorkCompletion& wc);
-  void arm_retry(std::uint32_t id);
-  void on_retry_timer(std::uint32_t id);
+  void arm_retry(CallTable::Call& c);
+  void arm_timer();
+  void on_deadline();
+  void on_retry_timer(CallTable::Call& c);
+  void pop_dead_entries();
   [[nodiscard]] rdma::SendWr request_wr(const CallTable::Call& c) const;
+
+  /// One armed retry: the call `id` is re-sent at `deadline` unless it
+  /// was answered (or re-armed) first.
+  struct RetryEntry {
+    sim::SimTime deadline;
+    std::uint32_t id;
+  };
+  /// The call an entry still speaks for, or nullptr once it is dead.
+  [[nodiscard]] CallTable::Call* live_call(const RetryEntry& e) noexcept;
 
   rdma::QueuePair& qp_;
   numa::Thread& post_th_;
@@ -229,6 +253,10 @@ class RpcClient {
   sim::Channel<rdma::SendWr> out_;
   std::vector<rdma::SendWr> send_batch_;   // pump scratch, reused
   std::vector<rdma::RecvWr> refill_batch_;  // reaper scratch, reused
+  // Armed retries in issue order. retry_after is a constant and now()
+  // never goes back, so deadlines are monotone and the front is earliest.
+  sim::RingQueue<RetryEntry> retries_due_;
+  bool timer_armed_ = false;  // at most one engine event pending
   std::uint64_t next_recv_id_ = 0;
   std::uint64_t calls_issued_ = 0;
   std::uint64_t retries_ = 0;

@@ -121,6 +121,27 @@ struct RpcRig : ::testing::Test {
     return at;
   }
 
+  /// Back-to-back calls `first`, `first` + 1, ... through `last`; notes
+  /// when the last one was issued.
+  sim::Task<> call_range(std::uint64_t first, std::uint64_t last,
+                         sim::SimTime* last_issued) {
+    for (std::uint64_t seq = first; seq <= last; ++seq) {
+      *last_issued = rig.eng.now();
+      (void)co_await client->call(64, mem::make_msg<Ping>(Ping{seq}));
+    }
+  }
+
+  /// `n` back-to-back calls, noting the deepest event heap seen as each
+  /// one returns.
+  sim::Task<> calls_sampling_depth(std::uint64_t n, std::uint64_t* ok,
+                                   std::size_t* deepest) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto rep = co_await client->call(256, mem::make_msg<Ping>(Ping{i}));
+      if (rep.ok) ++*ok;
+      *deepest = std::max(*deepest, rig.eng.queue_depth());
+    }
+  }
+
   sim::Task<> serial_calls(std::uint64_t n, sim::SimTime* worst) {
     for (std::uint64_t i = 0; i < n; ++i) {
       const sim::SimTime t0 = rig.eng.now();
@@ -236,6 +257,64 @@ TEST_F(RpcRig, UnansweredCallsResendOnTheirOwnDeadlines) {
   EXPECT_EQ(failed_a, t0 + 4 * kR);
   EXPECT_EQ(failed_b, t0 + kGap + 4 * kR);
   EXPECT_EQ(server->calls_served(), 0u);
+}
+
+TEST_F(RpcRig, CleanCallsParkNoTimerPerCall) {
+  RpcConfig cfg;
+  cfg.window = 16;
+  build(cfg);
+  // 100 windows' worth of calls, all answered within microseconds, so
+  // every one of them is issued well inside one retry_after.
+  constexpr std::uint64_t kPerCaller = 100;
+  std::uint64_t ok = 0;
+  std::size_t deepest = 0;
+  for (std::size_t w = 0; w < cfg.window; ++w)
+    sim::co_spawn(calls_sampling_depth(kPerCaller, &ok, &deepest));
+  rig.eng.run();
+  ASSERT_EQ(ok, kPerCaller * cfg.window);
+  EXPECT_EQ(client->retries(), 0u);
+  // The client parks at most one retry timer however many calls it has
+  // answered, so the heap stays near the window's own working set instead
+  // of growing by one dead timer per call.
+  EXPECT_GT(deepest, 0u);
+  EXPECT_LE(deepest, 4 * cfg.window);
+}
+
+TEST_F(RpcRig, RetryEntryOfARecycledSlotNeverResendsTheNewCall) {
+  // Call 0 is never answered, so its retry entry holds the queue front and
+  // every later entry stays queued behind it until call 0's deadline.
+  // Call 1 takes the other slot of a 2-call window and is answered; then
+  // 65535 answered calls recycle that slot through a full generation, so
+  // call kWrapped is issued under call 1's exact id while call 1's old
+  // entry is still queued. That call is never answered either.
+  constexpr std::uint64_t kWrapped = 1 + 65535;
+  SelectiveHandler some(rig.eng, [](std::uint64_t seq) {
+    return seq != 0 && seq != kWrapped;
+  });
+  handler = &some;
+  RpcConfig cfg;
+  cfg.window = 2;
+  cfg.retry_after = sim::kMinute;  // the 65535 recycles fit well inside
+  cfg.max_retries = 1;
+  build(cfg);
+  const sim::SimTime t0 = rig.eng.now();
+  bool ok0 = true;
+  sim::SimTime issued0 = 0, failed0 = 0, wrapped_issued = 0;
+  sim::co_spawn(timed_call(0, 0, &ok0, &issued0, &failed0));
+  sim::co_spawn(call_range(1, kWrapped, &wrapped_issued));
+  const auto resends = run_noting_resends();
+  ASSERT_EQ(issued0, t0);
+  ASSERT_LT(wrapped_issued, t0 + cfg.retry_after);
+  // Call 1's stale entry expires with call 0's, at t0 + retry_after, and
+  // its id resolves to the wrapped call, but that call was armed for a
+  // later deadline: only call 0 is re-sent then, and the wrapped call is
+  // re-sent on its own deadline.
+  EXPECT_EQ(resends, (std::vector<sim::SimTime>{
+                         t0 + cfg.retry_after,
+                         wrapped_issued + cfg.retry_after}));
+  EXPECT_EQ(client->calls_failed(), 2u);
+  EXPECT_EQ(failed0, t0 + 2 * cfg.retry_after);
+  EXPECT_EQ(server->calls_served(), kWrapped - 1);
 }
 
 TEST(CallTableTest, GenerationWrapsSkippingZero) {
