@@ -28,9 +28,7 @@ struct SanLinkBench {
   scsi::Lun lun;
   mem::BufferPool staging;
   numa::Thread& irx;
-  numa::Thread& itx;
   numa::Thread& trx;
-  numa::Thread& ttx;
   std::unique_ptr<rdma::Device> fe_dev;  // iSER only
   std::unique_ptr<rdma::Device> be_dev;
   exp::IscsiRig iscsi;
@@ -49,9 +47,7 @@ struct SanLinkBench {
             store.create("lun0", kLunBytes, numa::MemPolicy::kBind, 0)),
         staging(be, "staging", 32, 8ull << 20, numa::MemPolicy::kBind, 0),
         irx(iproc.spawn_thread()),
-        itx(iproc.spawn_thread()),
         trx(tproc.spawn_thread()),
-        ttx(tproc.spawn_thread()),
         fe_dev(cfg.transport == exp::Transport::kIser
                    ? std::make_unique<rdma::Device>(
                          fe, model::NicProfile{"ib0",
@@ -63,7 +59,15 @@ struct SanLinkBench {
                    : nullptr),
         iscsi({&iproc, fe_dev.get()}, {&tproc, be_dev.get()}, *link, {&lun},
               staging, cfg) {
-    iscsi.run_start(irx, trx, 8, &itx, &ttx);
+    // iSCSI/TCP sends from its own transmit thread on each side; iSER
+    // posts from the receive threads and needs none.
+    if (cfg.transport == exp::Transport::kTcp) {
+      numa::Thread& itx = iproc.spawn_thread();
+      numa::Thread& ttx = tproc.spawn_thread();
+      iscsi.run_start(irx, trx, 8, &itx, &ttx);
+    } else {
+      iscsi.run_start(irx, trx, 8);
+    }
   }
 
   /// Spawns kJobs jobs, each on its own initiator thread and 1/kJobs of
